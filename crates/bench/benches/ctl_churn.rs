@@ -286,8 +286,9 @@ fn main() {
     lanes.push(governed);
 
     let body = format!(
-        "{{\n  \"bench\": \"ctl_churn\",\n  \"schema_version\": 1,\n  \"smoke\": {},\n  \
-         \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"ctl_churn\",\n  \"schema_version\": 1,\n  \"host\": {},\n  \
+         \"smoke\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        dsa_bench::host::fingerprint_json(),
         smoke,
         lanes.iter().map(Lane::json_row).collect::<Vec<_>>().join(",\n")
     );

@@ -196,8 +196,9 @@ fn main() {
     }
 
     let body = format!(
-        "{{\n  \"bench\": \"fleet_scale\",\n  \"schema_version\": 1,\n  \"smoke\": {},\n  \
-         \"shards\": {},\n  \"threads\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"fleet_scale\",\n  \"schema_version\": 1,\n  \"host\": {},\n  \
+         \"smoke\": {},\n  \"shards\": {},\n  \"threads\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        dsa_bench::host::fingerprint_json(),
         smoke,
         SHARDS,
         THREADS,

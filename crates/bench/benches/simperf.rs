@@ -16,17 +16,24 @@
 //! * **pe_scaling** — a fig07-shaped closed-loop offload cluster (sources
 //!   keep a fixed queue depth per processing engine, completions trigger
 //!   the next submission), i.e. what the real sweeps look like.
+//! * **bw_backfill** — one `BwResource` pipe (the timeline resource every
+//!   fabric, DRAM, UPI and LLC reservation goes through), warmed with
+//!   interleaved early- and late-ready transfers until its backfill gap
+//!   list sits at the `MAX_GAPS` cap, then timed in transfers/s at that
+//!   steady state. No engine is involved; its lane is tagged `bw-resource`.
 //!
 //! Invariant checked on every run: both schedulers process the same event
 //! count and fold the same FNV-1a digest — the speed-up is free of
 //! behavioural drift. The calendar queue must beat the heap on the storm.
+//! Every lane's digest is gated by `scripts/perfgate`.
 
-use dsa_bench::table;
+use dsa_bench::{host, table};
 use dsa_core::digest::Fnv1a;
 use dsa_sim::engine::{Component, ComponentId, Ctx, Engine};
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::sched::{CalendarScheduler, HeapScheduler, Scheduler};
 use dsa_sim::time::{SimDuration, SimTime};
+use dsa_sim::timeline::{BwResource, MAX_GAPS};
 
 /// Wall-clock seconds elapsed while running `f` — the one deliberately
 /// nondeterministic probe in the bench suite; everything it times is
@@ -183,6 +190,59 @@ fn run_pe_scaling<Q: Scheduler<PeMsg>>(sched: Q) -> (u64, u64) {
     (eng.events_processed(), eng.shared().clone().finish())
 }
 
+// ---------------------------------------------------------- bw_backfill --
+
+/// Transfers that fill the gap list to its cap before timing starts.
+const BW_WARM: u64 = 16_384;
+const BW_TIMED: u64 = 200_000;
+/// A 30 GB/s pipe, the DSA fabric cap; 64 B move in ≈2.1 ns.
+const BW_MGBPS: u64 = 30_000;
+const BW_GRID_PS: u64 = 2_048;
+
+/// One seeded request against the pipe's current tail: 3/8 ready early
+/// (up to 4096 grid steps back, so first fit searches deep into the gap
+/// list), 4/8 ready just past the tail (each opens a small gap), 1/8
+/// ready at the tail. Sizes are 64–384 B.
+fn bw_request(rng: &mut SplitMix64, tail: SimTime) -> (SimTime, u64) {
+    let r = rng.next_below(8);
+    let ready = if r < 3 {
+        SimTime::from_ps(tail.as_ps().saturating_sub(BW_GRID_PS * rng.next_below(4_096)))
+    } else if r < 7 {
+        tail + SimDuration::from_ps(BW_GRID_PS * (1 + rng.next_below(3)))
+    } else {
+        tail
+    };
+    (ready, 64 * (1 + rng.next_below(6)))
+}
+
+/// Warms a pipe to the gap cap, then times `BW_TIMED` transfers. Returns
+/// (timed transfers, digest over every interval, timed wall seconds).
+fn run_bw_backfill() -> (u64, u64, f64) {
+    let mut rng = SplitMix64::new(0xBAC4_F111);
+    let mut pipe = BwResource::new(BW_MGBPS);
+    let mut d = Fnv1a::new();
+    let step = |pipe: &mut BwResource, rng: &mut SplitMix64, d: &mut Fnv1a| {
+        let (ready, bytes) = bw_request(rng, pipe.next_free());
+        let iv = pipe.transfer(ready, bytes);
+        d.write_u64(iv.start.as_ps());
+        d.write_u64(iv.end.as_ps());
+    };
+    for _ in 0..BW_WARM {
+        step(&mut pipe, &mut rng, &mut d);
+    }
+    assert!(
+        pipe.remembered_gaps() >= MAX_GAPS,
+        "warm-up left {} gaps, short of the {MAX_GAPS} cap",
+        pipe.remembered_gaps()
+    );
+    let ((), secs) = timed(|| {
+        for _ in 0..BW_TIMED {
+            step(&mut pipe, &mut rng, &mut d);
+        }
+    });
+    (BW_TIMED, d.finish(), secs)
+}
+
 // ------------------------------------------------------------- harness --
 
 struct Sample {
@@ -213,6 +273,22 @@ fn sample(workload: &'static str, scheduler: &'static str, run: impl Fn() -> (u6
     Sample { workload, scheduler, events, digest, wall_s: best }
 }
 
+/// Best-of-3 of the pipe lane, whose run times only its steady state.
+fn sample_bw_backfill() -> Sample {
+    let mut s = Sample {
+        workload: "bw_backfill",
+        scheduler: "bw-resource",
+        events: 0,
+        digest: 0,
+        wall_s: f64::INFINITY,
+    };
+    for _ in 0..3 {
+        let (n, d, secs) = run_bw_backfill();
+        s = Sample { events: n, digest: d, wall_s: s.wall_s.min(secs), ..s };
+    }
+    s
+}
+
 fn json_escape_free(s: &Sample) -> String {
     format!(
         "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"events\": {}, \
@@ -230,13 +306,14 @@ fn main() {
     table::banner("simperf", "discrete-event core throughput: calendar queue vs reference heap");
     table::header(&["workload", "scheduler", "events", "wall ms", "Mev/s"]);
 
-    let samples = vec![
+    let samples = [
         sample("event_storm", "calendar", || run_storm(CalendarScheduler::new())),
         sample("event_storm", "heap", || run_storm(HeapScheduler::new())),
         sample("pe_scaling", "calendar", || run_pe_scaling(CalendarScheduler::new())),
         sample("pe_scaling", "heap", || run_pe_scaling(HeapScheduler::new())),
     ];
-    for s in &samples {
+    let backfill = sample_bw_backfill();
+    for s in samples.iter().chain([&backfill]) {
         table::row(&[
             s.workload.to_string(),
             s.scheduler.to_string(),
@@ -278,9 +355,11 @@ fn main() {
 
     // BENCH_simperf.json at the repo root: the tracked perf trajectory.
     let body = format!(
-        "{{\n  \"bench\": \"simperf\",\n  \"schema_version\": 1,\n  \"workloads\": [\n{}\n  ],\n  \
+        "{{\n  \"bench\": \"simperf\",\n  \"schema_version\": 1,\n  \"host\": {},\n  \
+         \"workloads\": [\n{}\n  ],\n  \
          \"speedup_event_storm\": {:.3},\n  \"speedup_pe_scaling\": {:.3}\n}}\n",
-        samples.iter().map(json_escape_free).collect::<Vec<_>>().join(",\n"),
+        host::fingerprint_json(),
+        samples.iter().chain([&backfill]).map(json_escape_free).collect::<Vec<_>>().join(",\n"),
         storm_x,
         pe_x
     );

@@ -4,8 +4,10 @@
 //! the index). Each target is a `harness = false` binary that prints the
 //! figure's rows/series; `cargo bench` runs them all. [`measure`] holds the
 //! shared measurement machinery; [`sweep`] the grid-shaped experiment
-//! builder most figure harnesses use; [`table`] the output formatting.
+//! builder most figure harnesses use; [`table`] the output formatting;
+//! [`host`] the fingerprint the tracked perf artifacts carry.
 
+pub mod host;
 pub mod measure;
 pub mod sweep;
 pub mod table;

@@ -77,6 +77,13 @@ const INVALID: Entry = Entry { tag: 0, owner: AgentId::NONE, last_use: 0, valid:
 
 /// The set-associative LLC.
 ///
+/// The line array (`sets × ways` entries, ≈24 MB for the SPR LLC) is built
+/// on the first access that can fill a line. Until then every line is
+/// invalid, so probes miss, flushes find nothing and every occupancy is
+/// zero — the same answers an allocated all-invalid array gives. Memory
+/// systems that never run a cache-occupancy experiment (the service,
+/// fleet shards, twin replays) never pay for it.
+///
 /// ```
 /// use dsa_mem::cache::{AllocPolicy, Llc, WayMask};
 /// use dsa_mem::agent::AgentId;
@@ -90,6 +97,8 @@ const INVALID: Entry = Entry { tag: 0, owner: AgentId::NONE, last_use: 0, valid:
 /// ```
 #[derive(Clone, Debug)]
 pub struct Llc {
+    /// `sets × ways` lines, set-major; empty until the first allocating
+    /// access (an empty array stands for all-invalid).
     entries: Vec<Entry>,
     sets: u64,
     ways: u32,
@@ -113,7 +122,7 @@ impl Llc {
         assert!(raw_sets >= 1, "cache too small for its geometry");
         let sets = 1u64 << (63 - raw_sets.leading_zeros());
         Llc {
-            entries: vec![INVALID; (sets * ways as u64) as usize],
+            entries: Vec::new(),
             sets,
             ways,
             line_size,
@@ -157,6 +166,14 @@ impl Llc {
         mask: WayMask,
     ) -> AccessResult {
         self.tick += 1;
+        if self.entries.is_empty() {
+            // All lines invalid: a probe misses and only an allocating
+            // access changes anything.
+            if policy != AllocPolicy::AllocOnMiss {
+                return AccessResult { hit: false, evicted_other: false };
+            }
+            self.entries = vec![INVALID; (self.sets * self.ways as u64) as usize];
+        }
         let set = self.set_index(addr);
         let tag = self.line_tag(addr);
         let base = (set * self.ways as u64) as usize;
@@ -220,7 +237,7 @@ impl Llc {
     ///
     /// Returns the number of lines invalidated.
     pub fn flush_range(&mut self, start: u64, len: u64) -> u64 {
-        if len == 0 {
+        if len == 0 || self.entries.is_empty() {
             return 0;
         }
         let first = start / self.line_size;
@@ -431,6 +448,70 @@ mod tests {
             c.access(a, i * 64, AllocPolicy::AllocOnMiss, WayMask::ALL);
         }
         assert!(c.total_occupancy_bytes() <= c.capacity_bytes());
+    }
+
+    /// The same cache with its line array allocated up front, the way it
+    /// was built before allocation moved to first use.
+    fn eager(capacity_bytes: u64, ways: u32, line_size: u64) -> Llc {
+        let mut c = Llc::new(capacity_bytes, ways, line_size);
+        c.entries = vec![INVALID; (c.sets * c.ways as u64) as usize];
+        c
+    }
+
+    #[test]
+    fn untouched_cache_allocates_nothing() {
+        let c = Llc::new(24 << 20, 15, 64);
+        assert!(c.entries.is_empty());
+        assert_eq!(c.capacity_bytes(), eager(24 << 20, 15, 64).capacity_bytes());
+        assert_eq!(c.clone().entries.capacity(), 0);
+    }
+
+    #[test]
+    fn untouched_cache_flushes_and_reports_like_an_all_invalid_one() {
+        let mut lazy = small_llc();
+        let mut full = eager(8 * 1024, 4, 64);
+        for a in [AgentId::core(0), AgentId::core(3), AgentId::dsa(0), AgentId::io(1)] {
+            assert_eq!(lazy.occupancy_bytes(a), full.occupancy_bytes(a));
+        }
+        assert_eq!(lazy.total_occupancy_bytes(), full.total_occupancy_bytes());
+        for (start, len) in [(0, 0), (0, 64), (0x40, 1 << 20), (u64::MAX / 2, 4096)] {
+            assert_eq!(lazy.flush_range(start, len), full.flush_range(start, len));
+        }
+        assert!(lazy.entries.is_empty(), "flushing must not build the line array");
+    }
+
+    #[test]
+    fn untouched_cache_accesses_like_an_all_invalid_one() {
+        let mut rng = dsa_sim::rng::SplitMix64::new(0x11C);
+        let policies =
+            [AllocPolicy::NoAlloc, AllocPolicy::NoAllocInvalidate, AllocPolicy::AllocOnMiss];
+        let masks = [WayMask::ALL, WayMask::range(0, 2), WayMask::range(2, 4)];
+        let agents = [AgentId::core(0), AgentId::core(1), AgentId::dsa(0)];
+        let mut lazy = small_llc();
+        let mut full = eager(8 * 1024, 4, 64);
+        for step in 0..4_000 {
+            let r = rng.next_u64();
+            let addr = (r >> 8) % (64 << 10);
+            // Non-allocating accesses only for a while: the lazy array
+            // must stay unbuilt and still answer like the full one.
+            let policy =
+                if step < 200 { policies[(r % 2) as usize] } else { policies[(r % 3) as usize] };
+            let (agent, mask) = (agents[(r >> 2) as usize % 3], masks[(r >> 4) as usize % 3]);
+            assert_eq!(
+                lazy.access(agent, addr, policy, mask),
+                full.access(agent, addr, policy, mask)
+            );
+            if step < 200 {
+                assert!(lazy.entries.is_empty());
+            }
+            if r.is_multiple_of(97) {
+                assert_eq!(lazy.flush_range(addr, r % 8192), full.flush_range(addr, r % 8192));
+            }
+        }
+        for a in agents {
+            assert_eq!(lazy.occupancy_bytes(a), full.occupancy_bytes(a));
+        }
+        assert_eq!(lazy.tick, full.tick);
     }
 
     #[test]

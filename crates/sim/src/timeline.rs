@@ -160,6 +160,19 @@ impl MultiServer {
 /// idle gap left by a later-ready request, so interleaved read/write
 /// streams from independent requesters do not serialize artificially.
 ///
+/// Backfilling is *first fit*: a transfer takes the earliest remembered gap
+/// that can hold all of it at or after its ready time. The gaps are kept
+/// sorted and disjoint, so every gap ending before `ready + duration` forms
+/// a prefix that a binary search skips; the scan then starts at the first
+/// gap that could fit and stops at the first one long enough, which costs
+/// O(log n + k) for n remembered gaps and k too-short ones passed over.
+///
+/// About [`MAX_GAPS`] gaps are remembered. The cap counts gaps, not time:
+/// opening a gap at the tail past it forgets the oldest ones (splitting a
+/// gap by a backfill never does), and a transfer that could have fit in a
+/// forgotten gap queues at the tail instead. The cap is therefore part of
+/// the model — changing it changes placements.
+///
 /// Bandwidth is expressed in milli-GB/s (`mgbps`) to allow fractional rates
 /// with integer arithmetic: 30 GB/s == `30_000` mGB/s.
 #[derive(Clone, Debug)]
@@ -168,11 +181,17 @@ pub struct BwResource {
     free_at: SimTime,
     busy: SimDuration,
     bytes_served: u64,
+    /// Idle `[start, end)` gaps behind `free_at`, oldest first. Invariant:
+    /// every gap is non-empty (`start < end`), the gaps are disjoint and
+    /// sorted (each ends at or before the next one starts, so starts and
+    /// ends are both non-decreasing), and the last one ends at or before
+    /// `free_at`. First fit's binary search relies on the sorted ends.
     gaps: VecDeque<(SimTime, SimTime)>,
 }
 
-/// Most idle gaps remembered for backfilling.
-const MAX_GAPS: usize = 4096;
+/// Most idle gaps a [`BwResource`] remembers for backfilling; the oldest
+/// are forgotten first. A count, not a time horizon, and model-visible.
+pub const MAX_GAPS: usize = 4096;
 
 impl BwResource {
     /// Creates a pipe with the given bandwidth in milli-GB/s.
@@ -201,23 +220,8 @@ impl BwResource {
         self.bytes_served += bytes;
         let dur = transfer_time_mgbps(bytes, self.mgbps);
         self.busy += dur;
-        // Backfill: fit into the earliest idle gap that can hold the whole
-        // transfer at or after `ready`.
-        for i in 0..self.gaps.len() {
-            let (gs, ge) = self.gaps[i];
-            let start = gs.max(ready);
-            if start + dur <= ge {
-                // Consume the used part, keeping remainders as gaps.
-                self.gaps.remove(i);
-                if start > gs {
-                    self.gaps.insert(i, (gs, start));
-                }
-                if start + dur < ge {
-                    let at = if start > gs { i + 1 } else { i };
-                    self.gaps.insert(at, (start + dur, ge));
-                }
-                return Interval { start, end: start + dur };
-            }
+        if let Some(hit) = self.backfill(ready, dur) {
+            return hit;
         }
         let start = ready.max(self.free_at);
         if start > self.free_at {
@@ -227,7 +231,56 @@ impl BwResource {
             }
         }
         self.free_at = start + dur;
+        debug_assert!(self.gaps_ordered_near(self.gaps.len().saturating_sub(1)));
         Interval { start, end: self.free_at }
+    }
+
+    /// First fit: places `dur` in the earliest remembered gap that holds
+    /// all of it at or after `ready`, consuming that part of the gap.
+    fn backfill(&mut self, ready: SimTime, dur: SimDuration) -> Option<Interval> {
+        // A gap ending before `ready + dur` cannot hold the transfer, and
+        // the ends are sorted, so those gaps are a prefix.
+        let fit_end = ready + dur;
+        let first = self.gaps.partition_point(|&(_, ge)| ge < fit_end);
+        // Past the prefix every gap ends late enough; the first one that
+        // starts early enough or is long enough is the hit.
+        let i = first + self.gaps.range(first..).position(|&(gs, ge)| gs.max(ready) + dur <= ge)?;
+        let (gs, ge) = self.gaps[i];
+        let start = gs.max(ready);
+        let end = start + dur;
+        // Keep the remainders in place: narrow the gap, split it, or drop
+        // it when the transfer fills it exactly.
+        match (start > gs, end < ge) {
+            (true, true) => {
+                self.gaps[i].1 = start;
+                self.gaps.insert(i + 1, (end, ge));
+            }
+            (true, false) => self.gaps[i].1 = start,
+            (false, true) => self.gaps[i].0 = end,
+            (false, false) => {
+                self.gaps.remove(i);
+            }
+        }
+        debug_assert!(self.gaps_ordered_near(i));
+        Some(Interval { start, end })
+    }
+
+    /// Checks the `gaps` invariant on the gaps around index `i` — the only
+    /// ones a single mutation can disturb — plus the tail bound.
+    fn gaps_ordered_near(&self, i: usize) -> bool {
+        let n = self.gaps.len();
+        let local = (i.saturating_sub(1)..(i + 3).min(n)).all(|j| {
+            let (gs, ge) = self.gaps[j];
+            gs < ge && (j + 1 == n || ge <= self.gaps[j + 1].0)
+        });
+        local && self.gaps.back().is_none_or(|&(_, ge)| ge <= self.free_at)
+    }
+
+    /// Number of idle gaps currently remembered for backfilling. Splitting
+    /// a gap can take the count past [`MAX_GAPS`]; the next gap opened at
+    /// the tail trims it back.
+    pub fn remembered_gaps(&self) -> usize {
+        self.gaps.len()
     }
 
     /// The earliest instant a new transfer could begin at the tail
