@@ -431,31 +431,6 @@ impl Dispatcher {
         Ok(rt.now().duration_since(start))
     }
 
-    /// Executes every remaining instruction of a compiled
-    /// [`OpProgram`](crate::program::OpProgram) through the dispatcher's
-    /// placement policy: each instruction becomes a backend-neutral
-    /// request, so a compiled memcpy can still land on the CPU when the
-    /// estimates say offload would lose. Returns how many instructions
-    /// executed.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and propagates the first failure; the program counter has
-    /// already advanced past the failing instruction.
-    pub fn run_program(
-        &mut self,
-        rt: &mut DsaRuntime,
-        prog: &mut crate::program::OpProgram,
-    ) -> Result<u64, DsaError> {
-        let mut n = 0;
-        while let Some(i) = prog.fetch() {
-            let req = i.offload_request();
-            self.execute(rt, &req)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Reaps completed operations and, when the window is at depth, blocks
     /// on the oldest outstanding ticket — shared between the async submit
     /// path and burst submission so both obey the configured depth.
@@ -552,6 +527,110 @@ mod tests {
         let mut d = Dispatcher::new().with_policy(DispatchPolicy::DsaOnly);
         d.copy_burst(&mut rt, &pairs).unwrap();
         assert_eq!(d.stats().batch_descriptors, 1, "16 pairs fit one batch descriptor");
+    }
+
+    /// DTO's default: offload `mem*` calls of 8 KiB and up.
+    fn dto() -> Dispatcher {
+        Dispatcher::new().with_policy(DispatchPolicy::Threshold(8 << 10))
+    }
+
+    #[test]
+    fn threshold_keeps_small_copies_on_cpu() {
+        let mut rt = DsaRuntime::spr_default();
+        let mut d = dto();
+        let a = rt.alloc(1024, Location::local_dram());
+        let b = rt.alloc(1024, Location::local_dram());
+        rt.fill_pattern(&a, 3);
+        d.memcpy(&mut rt, &a, &b).unwrap();
+        assert_eq!(d.stats().offloaded_calls(), 0);
+        assert_eq!(rt.read(&b).unwrap()[0], 3);
+    }
+
+    #[test]
+    fn threshold_offloads_at_and_above() {
+        let mut rt = DsaRuntime::spr_default();
+        let mut d = dto();
+        let a = rt.alloc(64 << 10, Location::local_dram());
+        let b = rt.alloc(64 << 10, Location::local_dram());
+        rt.fill_pattern(&a, 9);
+        d.memcpy(&mut rt, &a, &b).unwrap();
+        assert_eq!(d.stats().sync_offloads, 1);
+        assert!(rt.read(&b).unwrap().iter().all(|&x| x == 9));
+        assert!((d.stats().byte_fraction() - 1.0).abs() < 1e-9);
+        // Exactly at the threshold offloads too.
+        let mut d = Dispatcher::new().with_policy(DispatchPolicy::Threshold(1024));
+        let (a, b) = (a.slice(0, 1024), b.slice(0, 1024));
+        d.memcpy(&mut rt, &a, &b).unwrap();
+        assert_eq!(d.stats().offloaded_calls(), 1);
+    }
+
+    #[test]
+    fn threshold_routes_memset_and_memcmp() {
+        let mut rt = DsaRuntime::spr_default();
+        let mut d = Dispatcher::new().with_policy(DispatchPolicy::Threshold(4096));
+        let a = rt.alloc(8192, Location::local_dram());
+        let b = rt.alloc(8192, Location::local_dram());
+        d.memset(&mut rt, &a, 0xAA).unwrap();
+        assert!(rt.read(&a).unwrap().iter().all(|&x| x == 0xAA));
+        let (diff, _) = d.memcmp(&mut rt, &a, &b).unwrap();
+        assert_eq!(diff, Some(0));
+        d.memset(&mut rt, &b, 0xAA).unwrap();
+        let (diff, _) = d.memcmp(&mut rt, &a, &b).unwrap();
+        assert_eq!(diff, None);
+        assert_eq!(d.stats().calls(), 4);
+        assert_eq!(d.stats().offloaded_calls(), 4);
+    }
+
+    #[test]
+    fn threshold_fault_falls_back_to_cpu_redo() {
+        let mut rt = DsaRuntime::spr_default();
+        let mut d = dto();
+        let a = rt.alloc(32 << 10, Location::local_dram());
+        let b = rt.alloc(32 << 10, Location::local_dram());
+        rt.fill_pattern(&a, 5);
+        rt.memsys_mut().page_table_mut().unmap_page(b.addr() + 8192);
+        d.memcpy(&mut rt, &a, &b).unwrap();
+        assert_eq!(d.stats().fault_fallbacks, 1);
+        // The CPU redo still produced the full copy.
+        assert!(rt.read(&b).unwrap().iter().all(|&x| x == 5));
+    }
+
+    #[test]
+    fn threshold_cachelib_split_offloads_few_calls_most_bytes() {
+        // The CacheLib appendix: mostly small copies, and a few large ones
+        // that carry nearly all the bytes.
+        let mut rt = DsaRuntime::spr_default();
+        let mut d = dto();
+        let small_src = rt.alloc(1024, Location::local_dram());
+        let small_dst = rt.alloc(1024, Location::local_dram());
+        let big_src = rt.alloc(512 << 10, Location::local_dram());
+        let big_dst = rt.alloc(512 << 10, Location::local_dram());
+        for _ in 0..95 {
+            d.memcpy(&mut rt, &small_src, &small_dst).unwrap();
+        }
+        for _ in 0..5 {
+            d.memcpy(&mut rt, &big_src, &big_dst).unwrap();
+        }
+        let s = d.stats();
+        assert!(s.call_fraction() < 0.10);
+        assert!(s.byte_fraction() > 0.90);
+    }
+
+    #[test]
+    fn threshold_targets_the_backend_device_and_wq() {
+        let mut rt = DsaRuntime::builder(dsa_mem::topology::Platform::spr())
+            .devices(2, dsa_device::config::DeviceConfig::single_engine())
+            .build();
+        let a = rt.alloc(16 << 10, Location::local_dram());
+        let b = rt.alloc(16 << 10, Location::local_dram());
+        let mut d = dto().with_backend(DsaBackend::with_pool(vec![1]).on_wq(0));
+        d.memcpy(&mut rt, &a, &b).unwrap();
+        assert_eq!(d.stats().sync_offloads, 1);
+        assert_eq!(rt.device(0).telemetry().descriptors, 0);
+        assert_eq!(rt.device(1).telemetry().descriptors, 1);
+        // A WQ the device lacks surfaces as an error.
+        let mut d = dto().with_backend(DsaBackend::with_pool(vec![0]).on_wq(3));
+        assert!(d.memcpy(&mut rt, &a, &b).is_err());
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! ```
 
 use crate::error::DsaError;
+use crate::program::OpInstr;
 use crate::runtime::DsaRuntime;
 use crate::submit::{InflightWindow, SubmitMethod, WaitMethod};
 use dsa_device::config::WqMode;
@@ -130,7 +131,7 @@ impl Job {
     /// placement applied. The per-attempt primitive behind
     /// [`OpProgram`](crate::program::OpProgram) replay and the service
     /// layer's retry loop.
-    pub fn from_instr(i: &crate::program::OpInstr) -> Job {
+    pub fn from_instr(i: &OpInstr) -> Job {
         let mut desc = Descriptor::nop();
         i.write_into(&mut desc);
         Job {
@@ -140,6 +141,18 @@ impl Job {
             wait: WaitMethod::SpinPoll,
             amortized: true,
         }
+    }
+
+    /// The job compiled to one op-program instruction: its descriptor plus
+    /// device/WQ placement. The inverse of [`Job::from_instr`]; the wait
+    /// method and allocation accounting are submission policy and are not
+    /// part of the instruction. A placement beyond `u16` saturates, so it
+    /// still fails [`ProgramBuilder::prepare`](crate::program::ProgramBuilder::prepare)
+    /// instead of aliasing a real device or WQ.
+    pub fn instr(&self) -> OpInstr {
+        let device = u16::try_from(self.device).unwrap_or(u16::MAX);
+        let wq = u16::try_from(self.wq).unwrap_or(u16::MAX);
+        OpInstr::from_descriptor(&self.desc, device, wq)
     }
 
     /// A no-op descriptor (useful for probing offload overheads).
@@ -608,14 +621,6 @@ impl Batch {
     /// Adds a job's descriptor to the batch.
     pub fn push(&mut self, job: Job) -> &mut Batch {
         self.descs.push(job.desc);
-        self
-    }
-
-    /// Adds a compiled op-program instruction's descriptor to the batch
-    /// (the instruction's placement is ignored; the batch's own
-    /// device/WQ targeting applies).
-    pub fn push_instr(&mut self, i: &crate::program::OpInstr) -> &mut Batch {
-        self.descs.push(i.descriptor());
         self
     }
 

@@ -4,22 +4,21 @@
 //! *allocation* dominates the software side of an offload, and real
 //! deployments amortize it by pre-allocating descriptors once and reusing
 //! them per submission. This module is that idea as an API. A
-//! [`ProgramBuilder`] **compiles** workload configuration — op kind,
-//! operand addresses and sizes, placement (device/WQ), and fault policy —
-//! into a flat [`OpProgram`] of fixed-width [`OpInstr`] words, validating
-//! every resulting descriptor against the device's
-//! [`DeviceCaps`](dsa_device::config::DeviceCaps) exactly once, at
-//! [`prepare`](ProgramBuilder::prepare) time.
+//! [`ProgramBuilder`] **compiles** a sequence of [`Job`]s — op kind,
+//! operand addresses and sizes, descriptor flags, and placement
+//! (device/WQ) — into a flat [`OpProgram`] of fixed-width [`OpInstr`]
+//! words ([`Job::instr`]), validating every resulting descriptor against
+//! the device's [`DeviceCaps`](dsa_device::config::DeviceCaps) exactly
+//! once, at [`prepare`](ProgramBuilder::prepare) time.
 //!
 //! Replay then touches no heap: [`OpProgram::fetch`] rebuilds one pooled
 //! [`Descriptor`] slot in place ([`Descriptor::rebuild`] resets every
 //! field, so nothing leaks between instructions), and
-//! [`OpProgram::step`]/[`Job::from_instr`]/[`Batch::push_instr`]/
-//! [`Dispatcher::run_program`](crate::dispatch::Dispatcher::run_program)
-//! drive submission from those slots. Because the rebuilt descriptor is
-//! field-for-field identical to one built by the `Descriptor`
-//! constructors, every execution digest is bit-identical to the
-//! allocate-per-job path it replaces.
+//! [`OpProgram::step`] submits through [`Job::from_instr`]. `Job` →
+//! [`OpInstr`] → [`Job::from_instr`] is the one compiled path: the
+//! rebuilt descriptor is field-for-field identical to the one the `Job`
+//! carried, so every execution digest is bit-identical to executing the
+//! jobs directly.
 //!
 //! ```
 //! use dsa_core::prelude::*;
@@ -31,7 +30,10 @@
 //! rt.fill_pattern(&src, 7);
 //!
 //! // Compile once…
-//! let mut prog = ProgramBuilder::new().memcpy(&src, &dst).crc32(&dst).prepare(&rt)?;
+//! let mut prog = ProgramBuilder::new()
+//!     .push(Job::memcpy(&src, &dst))
+//!     .push(Job::crc32(&dst))
+//!     .prepare(&rt)?;
 //! // …replay with no steady-state allocation.
 //! for _ in 0..3 {
 //!     prog.rewind();
@@ -41,13 +43,11 @@
 //! # Ok::<(), dsa_core::DsaError>(())
 //! ```
 
-use crate::backend::OffloadRequest;
 use crate::error::DsaError;
 use crate::job::{Job, JobReport};
 use crate::runtime::DsaRuntime;
 use dsa_device::descriptor::{Descriptor, Flags, OpParams, Opcode};
 use dsa_device::device::SubmitError;
-use dsa_mem::memory::BufferHandle;
 use dsa_ops::dif::DifConfig;
 
 /// One fixed-width compiled instruction: a descriptor's worth of operands
@@ -85,7 +85,8 @@ pub struct OpInstr {
 impl OpInstr {
     /// Compiles a descriptor (plus placement) into an instruction word.
     /// Lossless: [`descriptor`](Self::descriptor) inverts it exactly.
-    pub fn from_descriptor(desc: &Descriptor, device: u16, wq: u16) -> OpInstr {
+    /// Callers outside the crate compile through [`Job::instr`].
+    pub(crate) fn from_descriptor(desc: &Descriptor, device: u16, wq: u16) -> OpInstr {
         let (operand, operand2) = match &desc.params {
             OpParams::None => (0, 0),
             OpParams::Pattern(p) => (*p, 0),
@@ -142,178 +143,29 @@ impl OpInstr {
         slot.flags = Flags::from_bits(self.flag_bits);
         slot.completion_addr = self.completion;
     }
-
-    /// The instruction as a backend-neutral [`OffloadRequest`], so policy
-    /// layers (the [`Dispatcher`](crate::dispatch::Dispatcher)) can route
-    /// it to the CPU as readily as to the device. Operand handles mirror
-    /// the request constructors: fill aliases `dst` for both operands,
-    /// CRC aliases `src`.
-    pub fn offload_request(&self) -> OffloadRequest {
-        let len = u64::from(self.len);
-        let src = BufferHandle::from_raw(self.src, len);
-        let dst = BufferHandle::from_raw(self.dst, len);
-        let (src, dst) = match self.opcode {
-            Opcode::Fill => (dst, dst),
-            Opcode::CrcGen => (src, src),
-            _ => (src, dst),
-        };
-        let pattern = match self.opcode {
-            Opcode::Fill | Opcode::ComparePattern => self.operand,
-            _ => 0,
-        };
-        OffloadRequest {
-            op: self.opcode.op_kind(),
-            src,
-            dst,
-            pattern,
-            cache_control: Flags::from_bits(self.flag_bits).contains(Flags::CACHE_CONTROL),
-        }
-    }
 }
 
-/// Compiles workload configuration into an [`OpProgram`].
+/// Compiles a sequence of [`Job`]s into an [`OpProgram`].
 ///
-/// Placement (`on_device`/`on_wq`) and policy flags (`cache_control`,
-/// `block_on_fault`) apply to every *data* operation pushed after them;
-/// `nop`/`drain` never take cache control (the spec reserves it). The
+/// Each pushed job keeps its own descriptor flags and placement, exactly
+/// as [`Batch::push`](crate::job::Batch::push) keeps its descriptor. The
 /// terminal [`prepare`](Self::prepare) validates each compiled descriptor
 /// against the target device's capabilities, so replay never pays a
 /// validation-failure surprise mid-stream.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramBuilder {
-    device: u16,
-    wq: u16,
-    cache_control: bool,
-    block_on_fault: bool,
     instrs: Vec<OpInstr>,
 }
 
 impl ProgramBuilder {
-    /// An empty program targeting device 0, WQ 0.
+    /// An empty program.
     pub fn new() -> ProgramBuilder {
         ProgramBuilder::default()
     }
 
-    /// Targets device `i` for subsequently pushed operations.
-    pub fn on_device(mut self, i: usize) -> ProgramBuilder {
-        self.device = i as u16;
-        self
-    }
-
-    /// Targets WQ `i` for subsequently pushed operations.
-    pub fn on_wq(mut self, i: usize) -> ProgramBuilder {
-        self.wq = i as u16;
-        self
-    }
-
-    /// Steers destination writes of subsequent data ops into the LLC (G3).
-    pub fn cache_control(mut self, on: bool) -> ProgramBuilder {
-        self.cache_control = on;
-        self
-    }
-
-    /// Fault policy for subsequent data ops: block on page faults instead
-    /// of partially completing.
-    pub fn block_on_fault(mut self, on: bool) -> ProgramBuilder {
-        self.block_on_fault = on;
-        self
-    }
-
-    fn push_data_op(&mut self, mut d: Descriptor) {
-        d.set_cache_control(self.cache_control);
-        d.set_block_on_fault(self.block_on_fault);
-        self.instrs.push(OpInstr::from_descriptor(&d, self.device, self.wq));
-    }
-
-    /// Appends a pre-built descriptor verbatim (no policy flags applied) —
-    /// the escape hatch for op shapes without a dedicated pusher.
-    pub fn push_descriptor(mut self, d: &Descriptor) -> ProgramBuilder {
-        self.instrs.push(OpInstr::from_descriptor(d, self.device, self.wq));
-        self
-    }
-
-    /// Appends a no-op (offload-overhead probes).
-    pub fn nop(mut self) -> ProgramBuilder {
-        self.instrs.push(OpInstr::from_descriptor(&Descriptor::nop(), self.device, self.wq));
-        self
-    }
-
-    /// Appends a drain barrier.
-    pub fn drain(mut self) -> ProgramBuilder {
-        self.instrs.push(OpInstr::from_descriptor(&Descriptor::drain(), self.device, self.wq));
-        self
-    }
-
-    /// Appends a memory copy.
-    pub fn memcpy(mut self, src: &BufferHandle, dst: &BufferHandle) -> ProgramBuilder {
-        let len = src.len().min(dst.len()) as u32;
-        self.push_data_op(Descriptor::memmove(src.addr(), dst.addr(), len));
-        self
-    }
-
-    /// Appends a fill with an 8-byte pattern.
-    pub fn fill(mut self, dst: &BufferHandle, pattern: u64) -> ProgramBuilder {
-        self.push_data_op(Descriptor::fill(dst.addr(), dst.len() as u32, pattern));
-        self
-    }
-
-    /// Appends a memory compare.
-    pub fn compare(mut self, a: &BufferHandle, b: &BufferHandle) -> ProgramBuilder {
-        let len = a.len().min(b.len()) as u32;
-        self.push_data_op(Descriptor::compare(a.addr(), b.addr(), len));
-        self
-    }
-
-    /// Appends a compare against an 8-byte pattern.
-    pub fn compare_pattern(mut self, buf: &BufferHandle, pattern: u64) -> ProgramBuilder {
-        self.push_data_op(Descriptor::compare_pattern(buf.addr(), buf.len() as u32, pattern));
-        self
-    }
-
-    /// Appends a CRC32-C generation over `src`.
-    pub fn crc32(mut self, src: &BufferHandle) -> ProgramBuilder {
-        self.push_data_op(Descriptor::crc_gen(src.addr(), src.len() as u32));
-        self
-    }
-
-    /// Appends a copy-with-CRC.
-    pub fn copy_crc(mut self, src: &BufferHandle, dst: &BufferHandle) -> ProgramBuilder {
-        let len = src.len().min(dst.len()) as u32;
-        self.push_data_op(Descriptor::copy_crc(src.addr(), dst.addr(), len));
-        self
-    }
-
-    /// Appends a dualcast to two destinations.
-    pub fn dualcast(
-        mut self,
-        src: &BufferHandle,
-        dst1: &BufferHandle,
-        dst2: &BufferHandle,
-    ) -> ProgramBuilder {
-        self.push_data_op(Descriptor::dualcast(
-            src.addr(),
-            dst1.addr(),
-            dst2.addr(),
-            src.len() as u32,
-        ));
-        self
-    }
-
-    /// Appends a DIF insert from raw blocks in `src` to protected blocks
-    /// in `dst`.
-    pub fn dif_insert(
-        mut self,
-        src: &BufferHandle,
-        dst: &BufferHandle,
-        cfg: DifConfig,
-    ) -> ProgramBuilder {
-        self.push_data_op(Descriptor::dif_insert(src.addr(), dst.addr(), src.len() as u32, cfg));
-        self
-    }
-
-    /// Appends a cache flush over `buf`.
-    pub fn cache_flush(mut self, buf: &BufferHandle) -> ProgramBuilder {
-        self.push_data_op(Descriptor::cache_flush(buf.addr(), buf.len() as u32));
+    /// Appends a job's descriptor and placement.
+    pub fn push(mut self, job: Job) -> ProgramBuilder {
+        self.instrs.push(job.instr());
         self
     }
 
@@ -446,8 +298,11 @@ impl OpProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsa_device::config::{DeviceConfig, GroupConfig, WqConfig};
     use dsa_device::descriptor::Status;
     use dsa_mem::buffer::Location;
+    use dsa_mem::memory::BufferHandle;
+    use dsa_mem::topology::Platform;
     use dsa_ops::dif::DifBlockSize;
 
     fn desc_shapes() -> Vec<Descriptor> {
@@ -481,6 +336,11 @@ mod tests {
             let mut slot = Descriptor::dualcast(9, 8, 0x7000, 7).with_completion_addr(0x20);
             i.write_into(&mut slot);
             assert_eq!(slot, d);
+            // Job -> OpInstr -> Job is lossless for descriptor and placement.
+            let job = Job::from_descriptor(d.clone()).on_device(1).on_wq(2);
+            assert_eq!(job.instr(), i);
+            assert_eq!(Job::from_instr(&i).descriptor(), &d);
+            assert_eq!(Job::from_instr(&i).instr(), i);
         }
     }
 
@@ -490,45 +350,94 @@ mod tests {
         // A compiled delta op with a misaligned size must fail at prepare,
         // not at replay.
         let bad = Descriptor::delta_create(0x1000, 0x2000, 100, 0x3000, 64);
-        let err = ProgramBuilder::new().push_descriptor(&bad).prepare(&rt).unwrap_err();
+        let err = ProgramBuilder::new().push(Job::from_descriptor(bad)).prepare(&rt).unwrap_err();
         assert!(matches!(err, DsaError::Descriptor(_)), "{err:?}");
         // Placement outside the topology fails too.
-        let err = ProgramBuilder::new().on_device(9).nop().prepare(&rt).unwrap_err();
+        let err = ProgramBuilder::new().push(Job::nop().on_device(9)).prepare(&rt).unwrap_err();
         assert_eq!(err, DsaError::UnknownDevice { device: 9 });
-        let err = ProgramBuilder::new().on_wq(99).nop().prepare(&rt).unwrap_err();
+        let err = ProgramBuilder::new().push(Job::nop().on_wq(99)).prepare(&rt).unwrap_err();
         assert!(matches!(err, DsaError::Submit(_)));
+        // An index past u16 must not wrap onto device 0 / WQ 0.
+        let err = ProgramBuilder::new().push(Job::nop().on_device(1 << 16)).prepare(&rt);
+        assert!(matches!(err, Err(DsaError::UnknownDevice { .. })), "{err:?}");
+        let err = ProgramBuilder::new().push(Job::nop().on_wq(1 << 16)).prepare(&rt);
+        assert!(matches!(err, Err(DsaError::Submit(_))), "{err:?}");
+    }
+
+    /// One dedicated and one shared WQ, so a job can carry `on_wq(1)` and
+    /// take the `ENQCMD` path.
+    fn two_wq_runtime() -> DsaRuntime {
+        let device = DeviceConfig {
+            groups: vec![GroupConfig::with_engines(1)],
+            wqs: vec![WqConfig::dedicated(32, 0), WqConfig::shared(32, 0)],
+        };
+        DsaRuntime::builder(Platform::spr()).device(device).build()
     }
 
     #[test]
     fn program_replay_matches_job_path_results() {
         // The compiled path and the per-job path must produce identical
-        // data movement and identical clocks for the same op sequence.
-        let mut rt_prog = DsaRuntime::spr_default();
-        let mut rt_jobs = DsaRuntime::spr_default();
-        let bufs = |rt: &mut DsaRuntime| {
-            let src = rt.alloc(8192, Location::local_dram());
-            let dst = rt.alloc(8192, Location::local_dram());
+        // data movement, completion records and clocks for every data op
+        // a `Job` constructs, flags and placement included.
+        struct Bufs {
+            src: BufferHandle,
+            dst: BufferHandle,
+            dst2: BufferHandle,
+            prot: BufferHandle,
+        }
+        let setup = |rt: &mut DsaRuntime| {
+            let src = rt.alloc(4096, Location::local_dram());
+            let dst = rt.alloc(4096, Location::local_dram());
+            let dst2 = rt.alloc(4096, Location::local_dram());
+            // 8 × (512 B + 8 B tuple) protected blocks.
+            let prot = rt.alloc(4160, Location::local_dram());
             rt.fill_pattern(&src, 0x5A);
-            (src, dst)
+            Bufs { src, dst, dst2, prot }
         };
-        let (ps, pd) = bufs(&mut rt_prog);
-        let (js, jd) = bufs(&mut rt_jobs);
+        let jobs = |b: &Bufs| {
+            let cfg = DifConfig { block: DifBlockSize::B512, app_tag: 7, starting_ref_tag: 1 };
+            vec![
+                Job::memcpy(&b.src, &b.dst).on_wq(1).cache_control().block_on_fault(),
+                Job::crc32(&b.dst),
+                Job::compare(&b.src, &b.dst),
+                Job::fill(&b.dst, 0x1111_2222_3333_4444),
+                Job::compare_pattern(&b.dst, 0x1111_2222_3333_4444),
+                Job::copy_crc(&b.src, &b.dst2).cache_control(),
+                Job::dualcast(&b.src, &b.dst, &b.dst2).on_wq(1),
+                Job::dif_insert(&b.src, &b.prot, cfg).block_on_fault(),
+                Job::cache_flush(&b.dst),
+            ]
+        };
 
-        let mut prog = ProgramBuilder::new()
-            .memcpy(&ps, &pd)
-            .crc32(&pd)
-            .fill(&pd, 0x11)
-            .prepare(&rt_prog)
-            .unwrap();
-        assert_eq!(prog.len(), 3);
-        assert_eq!(prog.run(&mut rt_prog).unwrap(), 3);
+        let mut rt_prog = two_wq_runtime();
+        let mut rt_jobs = two_wq_runtime();
+        let pb = setup(&mut rt_prog);
+        let jb = setup(&mut rt_jobs);
 
-        Job::memcpy(&js, &jd).execute(&mut rt_jobs).unwrap();
-        Job::crc32(&jd).execute(&mut rt_jobs).unwrap();
-        Job::fill(&jd, 0x11).execute(&mut rt_jobs).unwrap();
+        let mut builder = ProgramBuilder::new();
+        for job in jobs(&pb) {
+            builder = builder.push(job);
+        }
+        let mut prog = builder.prepare(&rt_prog).unwrap();
+        assert_eq!(prog.len(), 9);
 
-        assert_eq!(rt_prog.read(&pd).unwrap(), rt_jobs.read(&jd).unwrap());
+        for job in jobs(&jb) {
+            let want = job.execute(&mut rt_jobs).unwrap();
+            let got = prog.step(&mut rt_prog).unwrap().expect("one instruction per job");
+            assert_eq!(got.record, want.record);
+            assert_eq!(got.finished, want.finished, "clocks must be bit-identical");
+        }
+        assert!(prog.step(&mut rt_prog).unwrap().is_none());
+
+        for (p, j) in [(pb.src, jb.src), (pb.dst, jb.dst), (pb.dst2, jb.dst2), (pb.prot, jb.prot)] {
+            assert_eq!(rt_prog.read(&p).unwrap(), rt_jobs.read(&j).unwrap());
+        }
         assert_eq!(rt_prog.now(), rt_jobs.now(), "clocks must be bit-identical");
+        let (tp, tj) = (rt_prog.device(0).telemetry(), rt_jobs.device(0).telemetry());
+        assert_eq!(
+            (tp.descriptors, tp.bytes_read, tp.bytes_written),
+            (tj.descriptors, tj.bytes_read, tj.bytes_written)
+        );
     }
 
     #[test]
@@ -537,8 +446,11 @@ mod tests {
         let src = rt.alloc(4096, Location::local_dram());
         let dst = rt.alloc(4096, Location::local_dram());
         rt.fill_pattern(&src, 9);
-        let mut prog =
-            ProgramBuilder::new().memcpy(&src, &dst).compare(&src, &dst).prepare(&rt).unwrap();
+        let mut prog = ProgramBuilder::new()
+            .push(Job::memcpy(&src, &dst))
+            .push(Job::compare(&src, &dst))
+            .prepare(&rt)
+            .unwrap();
         for round in 0..5 {
             prog.rewind();
             assert_eq!(prog.pc(), 0);
@@ -554,11 +466,11 @@ mod tests {
     #[test]
     fn policy_flags_apply_to_data_ops_only() {
         let rt = DsaRuntime::spr_default();
+        let a = BufferHandle::from_raw(0x1000, 64);
+        let b = BufferHandle::from_raw(0x2000, 64);
         let prog = ProgramBuilder::new()
-            .cache_control(true)
-            .block_on_fault(true)
-            .nop()
-            .memcpy(&BufferHandle::from_raw(0x1000, 64), &BufferHandle::from_raw(0x2000, 64))
+            .push(Job::nop())
+            .push(Job::memcpy(&a, &b).cache_control().block_on_fault())
             .prepare(&rt)
             .unwrap();
         let nop = prog.instrs()[0].descriptor();
@@ -566,26 +478,10 @@ mod tests {
         let cp = prog.instrs()[1].descriptor();
         assert!(cp.flags.contains(Flags::CACHE_CONTROL));
         assert!(cp.flags.contains(Flags::BLOCK_ON_FAULT));
-    }
-
-    #[test]
-    fn offload_request_mirrors_constructor_aliasing() {
-        let src = BufferHandle::from_raw(0x1000, 256);
-        let dst = BufferHandle::from_raw(0x2000, 256);
-        let rt = DsaRuntime::spr_default();
-        let prog = ProgramBuilder::new()
-            .fill(&dst, 0xEE)
-            .crc32(&src)
-            .memcpy(&src, &dst)
-            .prepare(&rt)
-            .unwrap();
-        let fill = prog.instrs()[0].offload_request();
-        assert_eq!(fill.src.addr(), fill.dst.addr(), "fill aliases dst");
-        assert_eq!(fill.pattern, 0xEE);
-        let crc = prog.instrs()[1].offload_request();
-        assert_eq!(crc.dst.addr(), 0x1000, "crc aliases src");
-        let cp = prog.instrs()[2].offload_request();
-        assert_eq!((cp.src.addr(), cp.dst.addr()), (0x1000, 0x2000));
-        assert_eq!(cp.bytes(), 256);
+        // The spec reserves cache control on nop/drain: prepare refuses it.
+        for job in [Job::nop().cache_control(), Job::drain().cache_control()] {
+            let err = ProgramBuilder::new().push(job).prepare(&rt).unwrap_err();
+            assert!(matches!(err, DsaError::Descriptor(_)), "{err:?}");
+        }
     }
 }

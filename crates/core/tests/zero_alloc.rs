@@ -5,8 +5,8 @@
 //! happens once, and replay runs out of fixed storage. This binary
 //! installs a counting global allocator and asserts the replay-side hot
 //! path is allocation-free: fetching instructions, rebuilding the pooled
-//! descriptor slot, re-validating against device caps, deriving
-//! backend-neutral requests, and constructing `Job`s.
+//! descriptor slot, re-validating against device caps, and the
+//! `OpInstr` → `Job` → `OpInstr` round trip.
 //!
 //! Full device execution is deliberately out of scope: the device model
 //! keeps its own analytic records per submission and is not part of the
@@ -59,12 +59,11 @@ fn program_replay_hot_path_is_allocation_free() {
     let dst = rt.alloc(4096, Location::local_dram());
     rt.fill_pattern(&src, 0x3C);
     let mut prog = ProgramBuilder::new()
-        .memcpy(&src, &dst)
-        .fill(&dst, 0xABAB_ABAB_ABAB_ABAB)
-        .compare(&src, &dst)
-        .crc32(&src)
-        .cache_control(true)
-        .copy_crc(&src, &dst)
+        .push(Job::memcpy(&src, &dst))
+        .push(Job::fill(&dst, 0xABAB_ABAB_ABAB_ABAB))
+        .push(Job::compare(&src, &dst))
+        .push(Job::crc32(&src))
+        .push(Job::copy_crc(&src, &dst).cache_control())
         .prepare(&rt)
         .expect("program compiles");
     let caps = *rt.device(0).caps();
@@ -77,9 +76,9 @@ fn program_replay_hot_path_is_allocation_free() {
                 // The pooled slot was rebuilt in place by fetch(); the
                 // prepare-time validation guarantee must re-check clean.
                 assert_eq!(prog.slot().validate(&caps), Ok(()));
-                // Descriptor-prep hot path: stack job + backend request.
-                black_box(Job::from_instr(&i));
-                black_box(i.offload_request());
+                // Descriptor-prep hot path: stack job and its instruction.
+                let job = black_box(Job::from_instr(&i));
+                black_box(job.instr());
                 steps += 1;
             }
         }

@@ -27,7 +27,6 @@ use dsa_core::job::Job;
 use dsa_core::program::OpInstr;
 use dsa_core::runtime::DsaRuntime;
 use dsa_core::submit::InflightWindow;
-use dsa_device::descriptor::Descriptor;
 use dsa_device::device::SubmitError;
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::BufferHandle;
@@ -96,9 +95,8 @@ pub struct ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Sets the placement plan: a [`PlanSpec`] recipe, a concrete
-    /// [`Plan`] (via `Plan -> PlanSpec`), or a deprecated `WqPlan`
-    /// variant during migration.
+    /// Sets the placement plan: a [`PlanSpec`] recipe or a concrete
+    /// [`Plan`] (via `Plan -> PlanSpec`).
     pub fn plan(mut self, plan: impl Into<PlanSpec>) -> ServiceBuilder {
         self.plan = plan.into();
         self
@@ -308,14 +306,9 @@ impl DsaService {
             let base = SimTime::ZERO + spec.start;
             let first =
                 if spec.arrival.is_open() { base + spec.arrival.gap(&mut rng) } else { base };
-            // Compile the tenant's steady-state op once (placement + the
-            // same descriptor `Job::memcpy(...).on_wq(wq)` would build),
-            // so the retry loop below allocates nothing per attempt.
-            let instr = OpInstr::from_descriptor(
-                &Descriptor::memmove(src.addr(), dst.addr(), spec.xfer as u32),
-                0,
-                wqs[i] as u16,
-            );
+            // Compile the tenant's steady-state op once, so the retry loop
+            // below allocates nothing per attempt.
+            let instr = Job::memcpy(&src, &dst).on_wq(wqs[i]).instr();
             tenants.push(TenantState {
                 wq: wqs[i],
                 bucket: TokenBucket::new(spec.rate, spec.burst),
@@ -503,11 +496,7 @@ impl DsaService {
             if assign[i] != t.wq {
                 t.stats.migrations += 1;
                 t.wq = assign[i];
-                t.instr = OpInstr::from_descriptor(
-                    &Descriptor::memmove(t.src.addr(), t.dst.addr(), t.spec.xfer as u32),
-                    0,
-                    t.wq as u16,
-                );
+                t.instr = Job::memcpy(&t.src, &t.dst).on_wq(t.wq).instr();
             }
             t.cursor = t.cursor.max(ready);
             while t.window.pop_completed(ready).is_some() {}

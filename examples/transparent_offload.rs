@@ -10,8 +10,7 @@ use dsa_repro::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rt = DsaRuntime::spr_default();
 
-    // DTO-style routing: a fixed 8 KiB threshold (what `Dto::new()` uses
-    // under the hood since the backend refactor).
+    // DTO-style routing: a fixed 8 KiB threshold, DTO's default.
     let mut dto = Dispatcher::new().with_policy(DispatchPolicy::Threshold(8 << 10));
 
     // An application-like mix: many small copies, a few large ones.
