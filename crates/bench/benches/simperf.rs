@@ -21,19 +21,30 @@
 //!   interleaved early- and late-ready transfers until its backfill gap
 //!   list sits at the `MAX_GAPS` cap, then timed in transfers/s at that
 //!   steady state. No engine is involved; its lane is tagged `bw-resource`.
+//! * **svc_hub** — one `DsaService` with eight memmove tenants (four
+//!   open-loop latency, four closed-loop throughput) driven to completion
+//!   in 20 µs epochs, the loop `Governor::govern` runs. Lane `off` runs it
+//!   bare; lane `on` attaches a telemetry hub and reads an `Observation`
+//!   from a `HubWindow` every epoch. Both report jobs/s; their ratio is
+//!   what telemetry costs a job.
 //!
-//! Invariant checked on every run: both schedulers process the same event
+//! Invariants checked on every run: both schedulers process the same event
 //! count and fold the same FNV-1a digest — the speed-up is free of
-//! behavioural drift. The calendar queue must beat the heap on the storm.
-//! Every lane's digest is gated by `scripts/perfgate`.
+//! behavioural drift — and both `svc_hub` lanes replay the same service
+//! report digest, so the hub observes without steering. The calendar
+//! queue must beat the heap on the storm. Every lane's digest is gated by
+//! `scripts/perfgate`.
 
 use dsa_bench::{host, table};
 use dsa_core::digest::Fnv1a;
+use dsa_ctl::prelude::Observation;
 use dsa_sim::engine::{Component, ComponentId, Ctx, Engine};
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::sched::{CalendarScheduler, HeapScheduler, Scheduler};
 use dsa_sim::time::{SimDuration, SimTime};
 use dsa_sim::timeline::{BwResource, MAX_GAPS};
+use dsa_svc::prelude::{Arrival, DsaService, PlanSpec, QosClass, ServiceConfig, TenantSpec};
+use dsa_telemetry::HubWindow;
 
 /// Wall-clock seconds elapsed while running `f` — the one deliberately
 /// nondeterministic probe in the bench suite; everything it times is
@@ -243,6 +254,58 @@ fn run_bw_backfill() -> (u64, u64, f64) {
     (BW_TIMED, d.finish(), secs)
 }
 
+// -------------------------------------------------------------- svc_hub --
+
+/// Control-epoch length: the `Governor` default.
+const HUB_EPOCH: SimDuration = SimDuration::from_us(20);
+
+/// Four open-loop latency tenants (256 B–4 KiB, 4 µs mean gap, 4.5 µs
+/// deadline) beside four closed-loop throughput tenants (16–64 KiB, depth
+/// 4, 2 µs think) on the shared plan: 30k jobs.
+fn hub_roster() -> ServiceConfig {
+    let mut specs = Vec::new();
+    for (i, xfer) in [256u64, 1 << 10, 2 << 10, 4 << 10].into_iter().enumerate() {
+        specs.push(
+            TenantSpec::new(&format!("lat{i}"), xfer, 5_000)
+                .with_class(QosClass::Latency)
+                .with_deadline(SimDuration::from_ns(4_500))
+                .with_arrival(Arrival::open(SimDuration::from_us(4))),
+        );
+    }
+    for (i, xfer) in [16u64 << 10, 32 << 10, 64 << 10, 64 << 10].into_iter().enumerate() {
+        specs.push(
+            TenantSpec::new(&format!("thr{i}"), xfer, 2_500)
+                .with_outstanding(4)
+                .with_arrival(Arrival::closed(SimDuration::from_us(2))),
+        );
+    }
+    ServiceConfig::builder()
+        .plan(PlanSpec::Shared)
+        .seed(0x4B_5EED)
+        .tenants(specs)
+        .build()
+        .expect("the svc_hub roster is valid")
+}
+
+/// Drives the roster to completion in `HUB_EPOCH` epochs. With `observe`
+/// a hub is attached and every epoch reads a windowed `Observation` and
+/// re-marks the window. Returns (completed jobs, report digest).
+fn run_svc_hub(observe: bool) -> (u64, u64) {
+    let mut svc = DsaService::from_config(hub_roster()).expect("the svc_hub roster builds");
+    let mut window = observe.then(|| HubWindow::new(svc.trace()));
+    let mut next = svc.next_ready().map(|t| t + HUB_EPOCH);
+    while let Some(until) = next {
+        svc.run_until(until);
+        if let Some(w) = window.as_mut() {
+            std::hint::black_box(Observation::from_window(w, &svc));
+            w.mark();
+        }
+        next = svc.next_ready().map(|t| t.max(until) + HUB_EPOCH);
+    }
+    let rep = svc.report();
+    (rep.tenants.iter().map(|t| t.dsa_completed + t.cpu_completed).sum(), rep.digest())
+}
+
 // ------------------------------------------------------------- harness --
 
 struct Sample {
@@ -313,7 +376,11 @@ fn main() {
         sample("pe_scaling", "heap", || run_pe_scaling(HeapScheduler::new())),
     ];
     let backfill = sample_bw_backfill();
-    for s in samples.iter().chain([&backfill]) {
+    let hub = [
+        sample("svc_hub", "off", || run_svc_hub(false)),
+        sample("svc_hub", "on", || run_svc_hub(true)),
+    ];
+    for s in samples.iter().chain([&backfill]).chain(&hub) {
         table::row(&[
             s.workload.to_string(),
             s.scheduler.to_string(),
@@ -334,6 +401,12 @@ fn main() {
         let heap = samples.iter().find(|s| s.workload == w && s.scheduler == "heap").unwrap();
         cal.events_per_sec() / heap.events_per_sec()
     };
+    // The hub observes; it must not steer.
+    assert_eq!(hub[0].events, hub[1].events, "svc_hub: job counts differ");
+    assert_eq!(hub[0].digest, hub[1].digest, "svc_hub: the hub changed the report digest");
+    let hub_ratio = hub[1].wall_s / hub[0].wall_s.max(1e-9);
+    println!("svc_hub: hub-on / hub-off wall time {}x", table::f2(hub_ratio));
+
     let storm_x = speedup("event_storm");
     let pe_x = speedup("pe_scaling");
     println!(
@@ -357,11 +430,19 @@ fn main() {
     let body = format!(
         "{{\n  \"bench\": \"simperf\",\n  \"schema_version\": 1,\n  \"host\": {},\n  \
          \"workloads\": [\n{}\n  ],\n  \
-         \"speedup_event_storm\": {:.3},\n  \"speedup_pe_scaling\": {:.3}\n}}\n",
+         \"speedup_event_storm\": {:.3},\n  \"speedup_pe_scaling\": {:.3},\n  \
+         \"svc_hub_on_off\": {:.3}\n}}\n",
         host::fingerprint_json(),
-        samples.iter().chain([&backfill]).map(json_escape_free).collect::<Vec<_>>().join(",\n"),
+        samples
+            .iter()
+            .chain([&backfill])
+            .chain(&hub)
+            .map(json_escape_free)
+            .collect::<Vec<_>>()
+            .join(",\n"),
         storm_x,
-        pe_x
+        pe_x,
+        hub_ratio
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simperf.json");
     std::fs::write(path, body).expect("write BENCH_simperf.json at the repo root");

@@ -431,7 +431,7 @@ impl Job {
             }
             hub.span(Track::Job, "prepare", t, t + DESC_PREPARE);
             hub.span(Track::Job, "submit", t + DESC_PREPARE, rt.now());
-            hub.counter_add("jobs", Labels::wq(self.device as u16, self.wq as u16), 1);
+            hub.add(rt.job_counter(self.device, self.wq), 1);
         }
     }
 

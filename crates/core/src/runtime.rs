@@ -16,7 +16,7 @@ use dsa_ops::swcost::SwCost;
 use dsa_ops::OpKind;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::time::{SimDuration, SimTime};
-use dsa_telemetry::Hub;
+use dsa_telemetry::{CounterHandle, Hub, Labels};
 
 /// Builder for a [`DsaRuntime`].
 #[derive(Debug)]
@@ -74,6 +74,7 @@ impl RuntimeBuilder {
             now: SimTime::ZERO,
             rng: SplitMix64::new(0xD5A0_5EED),
             hub: None,
+            job_counters: Vec::new(),
         }
     }
 }
@@ -89,6 +90,8 @@ pub struct DsaRuntime {
     now: SimTime,
     rng: SplitMix64,
     hub: Option<Hub>,
+    /// Per device, per WQ: the hub's `jobs` counter (empty without a hub).
+    job_counters: Vec<Vec<CounterHandle>>,
 }
 
 impl DsaRuntime {
@@ -119,7 +122,23 @@ impl DsaRuntime {
         for d in &mut self.devices {
             d.attach_hub(hub.clone());
         }
+        self.job_counters = self.devices.iter().map(|d| Self::job_counters_for(&hub, d)).collect();
         self.hub = Some(hub);
+    }
+
+    fn job_counters_for(hub: &Hub, d: &DsaDevice) -> Vec<CounterHandle> {
+        (0..d.wq_count())
+            .map(|wq| hub.counter_handle("jobs", Labels::wq(d.id(), wq as u16)))
+            .collect()
+    }
+
+    /// The hub's `jobs` counter for WQ `wq` of device `device`.
+    ///
+    /// # Panics
+    ///
+    /// Panics without an attached hub or if the WQ is out of range.
+    pub(crate) fn job_counter(&self, device: usize, wq: usize) -> CounterHandle {
+        self.job_counters[device][wq]
     }
 
     /// Enables tracing with a fresh hub and returns a handle to it.
@@ -194,6 +213,7 @@ impl DsaRuntime {
         let mut d = DsaDevice::new(i as u16, config, &self.platform);
         if let Some(hub) = &self.hub {
             d.attach_hub(hub.clone());
+            self.job_counters[i] = Self::job_counters_for(hub, &d);
         }
         self.devices[i] = d;
     }

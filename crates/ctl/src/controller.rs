@@ -22,7 +22,7 @@
 use crate::candidates::candidates;
 use crate::decision::{ControlReport, Decision};
 use dsa_core::digest::Fnv1a;
-use dsa_sim::stats::jain_fairness;
+use dsa_sim::stats::{jain_fairness, DurationHistogram};
 use dsa_sim::time::{SimDuration, SimTime};
 use dsa_svc::plan::{Plan, PlanSpec, TransitionCosts};
 use dsa_svc::service::{DsaService, ServiceConfig};
@@ -96,7 +96,8 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// Reads the window deltas for every tenant of `svc`.
+    /// Reads the window deltas for every tenant of `svc`. Each tenant's
+    /// window p99 is computed once, into one reused histogram buffer.
     pub fn from_window(w: &HubWindow, svc: &DsaService) -> Observation {
         let mut obs = Observation {
             offered: 0,
@@ -109,6 +110,8 @@ impl Observation {
             worst_throughput_tenant: None,
         };
         let mut shares = Vec::with_capacity(svc.tenant_count());
+        let mut lat = DurationHistogram::new();
+        let mut worst_throughput_p99 = None;
         for i in 0..svc.tenant_count() {
             let t = Labels::tenant(i as u16);
             obs.offered += w.counter_delta("svc_offered", t);
@@ -117,19 +120,16 @@ impl Observation {
             shares.push(done as f64);
             obs.shed += w.counter_delta("svc_shed", t);
             obs.misses += w.counter_delta("svc_deadline_miss", t);
-            let lat = w.histogram_delta_tenant("svc_latency", i as u16);
+            w.histogram_delta_tenant_into("svc_latency", i as u16, &mut lat);
             if let Some(p99) = lat.percentile(99.0) {
                 if obs.p99.is_none_or(|worst| p99 > worst) {
                     obs.p99 = Some(p99);
                     obs.worst_tenant = Some(i);
                 }
                 if svc.tenant_spec(i).class == QosClass::Throughput
-                    && obs.worst_throughput_tenant.is_none_or(|j| {
-                        w.histogram_delta_tenant("svc_latency", j as u16)
-                            .percentile(99.0)
-                            .is_none_or(|other| p99 > other)
-                    })
+                    && worst_throughput_p99.is_none_or(|other| p99 > other)
                 {
+                    worst_throughput_p99 = Some(p99);
                     obs.worst_throughput_tenant = Some(i);
                 }
             }

@@ -26,7 +26,7 @@ use dsa_mem::translate::TranslationCache;
 use dsa_ops::{crc32::Crc32c, delta, dif, memops};
 use dsa_sim::time::{scale_bytes, transfer_time_mgbps, SimDuration, SimTime};
 use dsa_sim::timeline::{BwResource, MultiServer, SlidingWindow};
-use dsa_telemetry::{DescriptorSpan, Hub, Labels, Track};
+use dsa_telemetry::{CounterHandle, DescriptorSpan, Hub, Labels, SeriesHandle, Track};
 
 /// Identifies a WQ within one device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -216,7 +216,17 @@ pub struct DsaDevice {
     atc: TranslationCache,
     telemetry: Telemetry,
     last_completion: SimTime,
-    hub: Option<Hub>,
+    hub: Option<HubProbes>,
+}
+
+/// An attached hub plus the handles the descriptor path records through,
+/// registered once at attach time.
+struct HubProbes {
+    hub: Hub,
+    /// Per WQ: the `wq_full` counter and the `wq_depth` series.
+    wq_full: Vec<CounterHandle>,
+    wq_depth: Vec<SeriesHandle>,
+    pe_occupancy: SeriesHandle,
 }
 
 /// Chunk size for the intra-descriptor read→write pipeline.
@@ -302,12 +312,18 @@ impl DsaDevice {
     /// Attaches a telemetry hub; every descriptor processed from now on
     /// emits a lifecycle span plus per-WQ/per-PE metrics into it.
     pub fn attach_hub(&mut self, hub: Hub) {
-        self.hub = Some(hub);
+        let wq = |i: usize| Labels::wq(self.id, i as u16);
+        self.hub = Some(HubProbes {
+            wq_full: (0..self.wqs.len()).map(|i| hub.counter_handle("wq_full", wq(i))).collect(),
+            wq_depth: (0..self.wqs.len()).map(|i| hub.series_handle("wq_depth", wq(i))).collect(),
+            pe_occupancy: hub.series_handle("pe_occupancy", Labels::device(self.id)),
+            hub,
+        });
     }
 
     /// The attached telemetry hub, if any.
     pub fn hub(&self) -> Option<&Hub> {
-        self.hub.as_ref()
+        self.hub.as_ref().map(|p| &p.hub)
     }
 
     /// Device instance id.
@@ -389,8 +405,8 @@ impl DsaDevice {
     fn record_wq_full(&mut self, wq: WqId) {
         self.wqs[wq.0].full_rejections += 1;
         self.telemetry.wq_rejections += 1;
-        if let Some(hub) = &self.hub {
-            hub.counter_add("wq_full", Labels::wq(self.id, wq.0 as u16), 1);
+        if let Some(p) = &self.hub {
+            p.hub.add(p.wq_full[wq.0], 1);
         }
     }
 
@@ -543,7 +559,7 @@ impl DsaDevice {
         );
         self.telemetry.batches += 1;
         self.telemetry.bytes_read += 64 * descs.len() as u64;
-        if let Some(hub) = &self.hub {
+        if let Some(hub) = self.hub() {
             hub.span(
                 Track::Wq { device: self.id, wq: wq.0 as u16 },
                 "batch_fetch",
@@ -737,12 +753,12 @@ impl DsaDevice {
         if desc.completion_addr != 0 && desc.flags.contains(Flags::REQUEST_COMPLETION) {
             let _ = memory.write(desc.completion_addr, &outcome.record.to_bytes());
         }
-        if let Some(hub) = &self.hub {
+        if let Some(p) = &self.hub {
             let servers = self.groups[group_idx].engines.servers();
             // The engine pool is indistinguishable (earliest-free wins),
             // so attribute work round-robin for per-PE metrics.
             let pe_idx = ((self.telemetry.descriptors - 1) % servers as u64) as u16;
-            hub.record_descriptor(DescriptorSpan {
+            p.hub.record_descriptor(DescriptorSpan {
                 device: self.id,
                 wq: wq.0 as u16,
                 pe: pe_idx,
@@ -755,15 +771,10 @@ impl DsaDevice {
             });
             // Utilization timelines: WQ depth at admission (FIFO view of
             // tracked holders) and the group's cumulative PE occupancy.
-            hub.series_push(
-                "wq_depth",
-                Labels::wq(self.id, wq.0 as u16),
-                admitted,
-                self.wqs[wq.0].window.in_flight() as f64,
-            );
+            p.hub.push(p.wq_depth[wq.0], admitted, self.wqs[wq.0].window.in_flight() as f64);
             let busy = self.groups[group_idx].engines.busy_time();
             let util = busy.as_ns_f64() / (servers as f64 * completed.as_ns_f64()).max(1.0);
-            hub.series_push("pe_occupancy", Labels::device(self.id), completed, util.min(1.0));
+            p.hub.push(p.pe_occupancy, completed, util.min(1.0));
         }
 
         Execution {

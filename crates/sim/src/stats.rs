@@ -65,7 +65,6 @@ impl Counter {
 /// let p50 = h.percentile(50.0).expect("non-empty").as_ns_f64();
 /// assert!((p50 - 500.0).abs() < 40.0, "p50 was {p50}");
 /// ```
-#[derive(Clone)]
 pub struct DurationHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -177,7 +176,8 @@ impl DurationHistogram {
         if self.count == 0 {
             return None;
         }
-        let saturated = self.buckets.iter().filter(|&&n| n > 0).count() == 1;
+        let occupied = self.occupied();
+        let saturated = self.buckets[occupied.clone()].iter().filter(|&&n| n > 0).count() == 1;
         // dsa-lint: allow(float-cast, percentile rank is a count computation, not timeline math)
         let rank = ((p / 100.0) * self.count as f64).ceil() as u64;
         let value = if rank >= self.count {
@@ -185,8 +185,8 @@ impl DurationHistogram {
         } else {
             let mut seen = 0u64;
             let mut value = self.max;
-            for (i, &n) in self.buckets.iter().enumerate() {
-                seen += n;
+            for i in occupied {
+                seen += self.buckets[i];
                 if seen >= rank {
                     value = SimDuration::from_ps(Self::bucket_value(i)).min(self.max).max(self.min);
                     break;
@@ -210,31 +210,48 @@ impl DurationHistogram {
     /// good enough for the percentile queries windows exist to serve.
     pub fn delta_since(&self, earlier: &DurationHistogram) -> DurationHistogram {
         let mut out = DurationHistogram::new();
-        for (i, (&now, &was)) in self.buckets.iter().zip(&earlier.buckets).enumerate() {
-            let d = now.saturating_sub(was);
+        out.merge_delta(self, earlier);
+        out
+    }
+
+    /// Merges `now.delta_since(earlier)` into this histogram without
+    /// materialising the delta: the result equals
+    /// `self.merge(&now.delta_since(earlier))` bucket for bucket, count,
+    /// sum, min and max, and allocates nothing. Windowed readers use it to
+    /// fold several label sets' deltas into one reused buffer.
+    pub fn merge_delta(&mut self, now: &DurationHistogram, earlier: &DurationHistogram) {
+        let mut count = 0u64;
+        let mut min = SimDuration::from_ps(u64::MAX);
+        let mut max = SimDuration::ZERO;
+        for i in now.occupied() {
+            let d = now.buckets[i].saturating_sub(earlier.buckets[i]);
             if d == 0 {
                 continue;
             }
-            out.buckets[i] = d;
-            out.count += d;
-            out.sum_ps += (Self::bucket_value(i) as u128) * d as u128;
-            let lo = SimDuration::from_ps(Self::bucket_value(i)).max(self.min);
+            self.buckets[i] += d;
+            count += d;
+            self.sum_ps += (Self::bucket_value(i) as u128) * d as u128;
+            let lo = SimDuration::from_ps(Self::bucket_value(i)).max(now.min);
             let hi = SimDuration::from_ps(Self::bucket_value((i + 1).min(MAJORS * MINORS - 1)))
-                .min(self.max);
-            if lo < out.min {
-                out.min = lo;
+                .min(now.max);
+            if lo < min {
+                min = lo;
             }
-            if hi > out.max {
-                out.max = hi.max(lo);
+            if hi > max {
+                max = hi.max(lo);
             }
         }
-        out
+        self.count += count;
+        if count > 0 {
+            self.min = self.min.min(min);
+            self.max = self.max.max(max);
+        }
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &DurationHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        for i in other.occupied() {
+            self.buckets[i] += other.buckets[i];
         }
         self.count += other.count;
         self.sum_ps += other.sum_ps;
@@ -246,6 +263,65 @@ impl DurationHistogram {
                 self.max = other.max;
             }
         }
+    }
+
+    /// Empties the histogram in place, keeping its bucket storage.
+    pub fn clear(&mut self) {
+        let occupied = self.occupied();
+        self.buckets[occupied].fill(0);
+        self.count = 0;
+        self.sum_ps = 0;
+        self.min = SimDuration::from_ps(u64::MAX);
+        self.max = SimDuration::ZERO;
+    }
+
+    /// Per-bucket sample counts, in bucket order (log-linear: 16
+    /// sub-buckets per power of two of picoseconds).
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
+    }
+
+    /// Sum of every sample in picoseconds (bucket lower bounds for a
+    /// [`delta_since`](Self::delta_since) window).
+    pub fn sum_ps(&self) -> u128 {
+        self.sum_ps
+    }
+
+    /// The bucket range that can hold samples: every non-zero bucket lies
+    /// between the buckets of `min` and `max`. `record`, `merge` and
+    /// `delta_since` all keep that true (a delta's max is at most one
+    /// bucket past its last sample), so scans, copies and merges touch
+    /// only this range instead of all 1024 buckets.
+    fn occupied(&self) -> std::ops::Range<usize> {
+        if self.count == 0 {
+            0..0
+        } else {
+            Self::bucket_index(self.min.as_ps())..Self::bucket_index(self.max.as_ps()) + 1
+        }
+    }
+}
+
+impl Clone for DurationHistogram {
+    fn clone(&self) -> Self {
+        Self {
+            buckets: self.buckets.clone(),
+            count: self.count,
+            sum_ps: self.sum_ps,
+            min: self.min,
+            max: self.max,
+        }
+    }
+
+    /// Copies `source` into `self` in place: only the occupied bucket
+    /// ranges are written, and no heap allocation is made.
+    fn clone_from(&mut self, source: &Self) {
+        self.clear();
+        let occupied = source.occupied();
+        self.buckets[occupied.clone()].copy_from_slice(&source.buckets[occupied]);
+        self.count = source.count;
+        self.sum_ps = source.sum_ps;
+        self.min = source.min;
+        self.max = source.max;
     }
 }
 
@@ -472,6 +548,77 @@ mod tests {
         let none = h.delta_since(&h.clone());
         assert_eq!(none.count(), 0);
         assert_eq!(none.percentile(99.0), None);
+    }
+
+    /// Full-scan references for the range-limited bucket loops.
+    fn naive_delta(now: &DurationHistogram, was: &DurationHistogram) -> Vec<u64> {
+        now.buckets().iter().zip(was.buckets()).map(|(a, b)| a.saturating_sub(*b)).collect()
+    }
+
+    fn naive_percentile(h: &DurationHistogram, p: f64) -> Option<Percentile> {
+        if h.count() == 0 {
+            return None;
+        }
+        let saturated = h.buckets().iter().filter(|&&n| n > 0).count() == 1;
+        // dsa-lint: allow(float-cast, percentile rank is a count computation, not timeline math)
+        let rank = ((p / 100.0) * h.count() as f64).ceil() as u64;
+        let mut value = h.max();
+        if rank < h.count() {
+            let mut seen = 0;
+            for (i, &n) in h.buckets().iter().enumerate() {
+                seen += n;
+                if seen >= rank {
+                    let v = SimDuration::from_ps(DurationHistogram::bucket_value(i));
+                    value = v.min(h.max()).max(h.min());
+                    break;
+                }
+            }
+        }
+        Some(Percentile { value, saturated })
+    }
+
+    fn assert_same(a: &DurationHistogram, b: &DurationHistogram) {
+        assert_eq!(a.buckets(), b.buckets());
+        assert_eq!(
+            (a.count(), a.sum_ps(), a.min(), a.max()),
+            (b.count(), b.sum_ps(), b.min(), b.max())
+        );
+    }
+
+    #[test]
+    fn range_limited_loops_match_full_scans() {
+        let mut rng = crate::rng::SplitMix64::new(0x5CA7);
+        let mut h = DurationHistogram::new();
+        let mut snap = DurationHistogram::new();
+        let mut merged = DurationHistogram::new();
+        for step in 0..4_000u64 {
+            // Samples span ps to ms, so windows start and end in far-apart
+            // bucket ranges.
+            let ps = rng.next_u64() >> (20 + rng.next_below(44));
+            h.record(SimDuration::from_ps(ps));
+            if step % 97 == 0 {
+                let win = h.delta_since(&snap);
+                assert_eq!(win.buckets(), &naive_delta(&h, &snap)[..]);
+                for p in [50.0, 99.0, 99.9, 100.0] {
+                    assert_eq!(win.percentile_detail(p), naive_percentile(&win, p));
+                    assert_eq!(h.percentile_detail(p), naive_percentile(&h, p));
+                }
+                // merge_delta == merge(delta_since), into a non-empty target.
+                let mut via_merge = merged.clone();
+                via_merge.merge(&win);
+                merged.merge_delta(&h, &snap);
+                assert_same(&merged, &via_merge);
+                // In-place copy == fresh clone, even over a wider target.
+                let mut copy = merged.clone();
+                copy.clone_from(&win);
+                assert_same(&copy, &win);
+                snap.clone_from(&h);
+                assert_same(&snap, &h);
+            }
+        }
+        let mut cleared = h.clone();
+        cleared.clear();
+        assert_same(&cleared, &DurationHistogram::new());
     }
 
     #[test]

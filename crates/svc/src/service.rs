@@ -35,7 +35,7 @@ use dsa_ops::OpKind;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::stats::jain_fairness;
 use dsa_sim::time::{SimDuration, SimTime};
-use dsa_telemetry::{Hub, Labels};
+use dsa_telemetry::{CounterHandle, HistogramHandle, Hub, Labels};
 
 /// Exponential-backoff cap: base backoff never grows beyond 64×.
 const MAX_BACKOFF_SHIFT: u32 = 6;
@@ -215,6 +215,41 @@ struct TenantState {
     next_arrival: SimTime,
     issued: u64,
     stats: TenantStats,
+    /// The tenant's metric handles on the attached hub, if any.
+    probes: Option<TenantProbes>,
+}
+
+/// A tenant's `svc_*` metric handles, registered when a hub is attached.
+#[derive(Clone, Copy)]
+struct TenantProbes {
+    offered: CounterHandle,
+    shed: CounterHandle,
+    jobs: CounterHandle,
+    degraded: CounterHandle,
+    deadline_miss: CounterHandle,
+    failed: CounterHandle,
+    /// `svc_latency` under the tenant's current WQ label; re-registered
+    /// when a plan transition moves the tenant.
+    latency: HistogramHandle,
+}
+
+impl TenantProbes {
+    fn register(hub: &Hub, tid: u16, wq: usize) -> TenantProbes {
+        let t = Labels::tenant(tid);
+        TenantProbes {
+            offered: hub.counter_handle("svc_offered", t),
+            shed: hub.counter_handle("svc_shed", t),
+            jobs: hub.counter_handle("svc_jobs", t),
+            degraded: hub.counter_handle("svc_degraded", t),
+            deadline_miss: hub.counter_handle("svc_deadline_miss", t),
+            failed: hub.counter_handle("svc_failed", t),
+            latency: TenantProbes::latency(hub, tid, wq),
+        }
+    }
+
+    fn latency(hub: &Hub, tid: u16, wq: usize) -> HistogramHandle {
+        hub.histogram_handle("svc_latency", Labels::tenant_wq(tid, 0, wq as u16))
+    }
 }
 
 impl TenantState {
@@ -321,6 +356,7 @@ impl DsaService {
                 next_arrival: first,
                 issued: 0,
                 stats: TenantStats::new(),
+                probes: None,
                 spec,
             });
         }
@@ -404,7 +440,11 @@ impl DsaService {
     /// [`DsaRuntime::trace`]. Per-tenant series land under
     /// `svc_*` metrics with [`Labels::tenant`] label sets.
     pub fn trace(&mut self) -> Hub {
-        self.rt.trace()
+        let hub = self.rt.trace();
+        for (i, t) in self.tenants.iter_mut().enumerate() {
+            t.probes = Some(TenantProbes::register(&hub, i as u16, t.wq));
+        }
+        hub
     }
 
     /// A handle for driving tenant `i`'s stream by hand (tests, custom
@@ -492,11 +532,15 @@ impl DsaService {
         }
         self.rt.replace_device(0, device);
         self.rt.set_now(ready);
+        let hub = self.rt.hub();
         for (i, t) in self.tenants.iter_mut().enumerate() {
             if assign[i] != t.wq {
                 t.stats.migrations += 1;
                 t.wq = assign[i];
                 t.instr = Job::memcpy(&t.src, &t.dst).on_wq(t.wq).instr();
+                if let (Some(hub), Some(p)) = (hub, t.probes.as_mut()) {
+                    p.latency = TenantProbes::latency(hub, i as u16, t.wq);
+                }
             }
             t.cursor = t.cursor.max(ready);
             while t.window.pop_completed(ready).is_some() {}
@@ -558,8 +602,8 @@ impl DsaService {
         t.issued += 1;
         t.stats.offered += 1;
         t.stats.offered_bytes += t.spec.xfer;
-        if let Some(hub) = rt.hub() {
-            hub.counter_add("svc_offered", Labels::tenant(tid), 1);
+        if let (Some(hub), Some(p)) = (rt.hub(), t.probes) {
+            hub.add(p.offered, 1);
         }
 
         // Shed at admission: if queueing delay alone blows the deadline,
@@ -567,8 +611,8 @@ impl DsaService {
         if let Some(d) = t.spec.deadline {
             if start.duration_since(arrival) > d {
                 t.stats.shed += 1;
-                if let Some(hub) = rt.hub() {
-                    hub.counter_add("svc_shed", Labels::tenant(tid), 1);
+                if let (Some(hub), Some(p)) = (rt.hub(), t.probes) {
+                    hub.add(p.shed, 1);
                 }
                 t.schedule_next(start);
                 return Err(DsaError::DeadlineExceeded { deadline: arrival + d });
@@ -625,11 +669,11 @@ impl DsaService {
                 if completion > rt.now() {
                     t.window.push(completion, t.spec.xfer);
                 }
-                if let Some(hub) = rt.hub() {
-                    hub.counter_add("svc_jobs", Labels::tenant(tid), 1);
-                    hub.observe("svc_latency", Labels::tenant_wq(tid, 0, t.wq as u16), latency);
+                if let (Some(hub), Some(p)) = (rt.hub(), t.probes) {
+                    hub.add(p.jobs, 1);
+                    hub.record(p.latency, latency);
                     if t.spec.deadline.is_some_and(|d| latency > d) {
-                        hub.counter_add("svc_deadline_miss", Labels::tenant(tid), 1);
+                        hub.add(p.deadline_miss, 1);
                     }
                 }
                 t.schedule_next(completion);
@@ -645,11 +689,11 @@ impl DsaService {
                 t.stats.cpu_completed += 1;
                 t.stats.cpu_bytes += t.spec.xfer;
                 t.cursor = completion;
-                if let Some(hub) = rt.hub() {
-                    hub.counter_add("svc_degraded", Labels::tenant(tid), 1);
-                    hub.observe("svc_latency", Labels::tenant_wq(tid, 0, t.wq as u16), latency);
+                if let (Some(hub), Some(p)) = (rt.hub(), t.probes) {
+                    hub.add(p.degraded, 1);
+                    hub.record(p.latency, latency);
                     if t.spec.deadline.is_some_and(|d| latency > d) {
-                        hub.counter_add("svc_deadline_miss", Labels::tenant(tid), 1);
+                        hub.add(p.deadline_miss, 1);
                     }
                 }
                 t.schedule_next(completion);
@@ -661,8 +705,8 @@ impl DsaService {
                 }
                 t.stats.failed += 1;
                 t.cursor = rt.now();
-                if let Some(hub) = rt.hub() {
-                    hub.counter_add("svc_failed", Labels::tenant(tid), 1);
+                if let (Some(hub), Some(p)) = (rt.hub(), t.probes) {
+                    hub.add(p.failed, 1);
                 }
                 t.schedule_next(rt.now());
                 Err(e)
@@ -959,6 +1003,30 @@ mod tests {
             assert_eq!(sess.stats().dsa_completed, k);
         }
         assert_eq!(svc.stats(1).offered, 0, "other tenants untouched");
+    }
+
+    #[test]
+    fn transition_records_svc_latency_under_the_new_wq() {
+        let mut svc = svc(PlanSpec::Shared, two_tenants());
+        let hub = svc.trace();
+        for i in 0..2 {
+            let mut sess = svc.session(i);
+            for _ in 0..5 {
+                sess.submit().unwrap();
+            }
+        }
+        let tr = svc.transition(Plan::dedicated(2).unwrap(), &TransitionCosts::default()).unwrap();
+        assert_eq!(tr.moved, 1, "tenant 1 leaves the shared WQ");
+        assert_eq!(svc.report().tenants[1].wq, 1);
+        svc.run();
+        let count = |tenant, wq| {
+            hub.with_metrics(|m| {
+                m.histogram("svc_latency", Labels::tenant_wq(tenant, 0, wq))
+                    .map_or(0, |h| h.count())
+            })
+        };
+        assert_eq!((count(0, 0), count(0, 1)), (20, 0), "tenant 0 stays on WQ 0");
+        assert_eq!((count(1, 0), count(1, 1)), (5, 15), "tenant 1 moves to WQ 1 with its jobs");
     }
 
     #[test]

@@ -1,16 +1,52 @@
 //! The [`Hub`]: one cloneable handle that every layer records into.
 
 use crate::causal::{CritPathProfile, JobTrace};
-use crate::metrics::{Labels, Metrics};
+use crate::metrics::{CounterHandle, HistogramHandle, Labels, Metrics, SeriesHandle};
 use crate::span::{DescriptorSpan, Event, Phase, Span, Track};
 use dsa_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// The handles one WQ's descriptors record through.
+#[derive(Clone, Copy, Debug)]
+struct WqHandles {
+    descriptors: CounterHandle,
+    bytes: CounterHandle,
+    latency: HistogramHandle,
+    phases: [HistogramHandle; Phase::ALL.len()],
+}
+
+impl WqHandles {
+    fn register(m: &mut Metrics, labels: Labels) -> WqHandles {
+        WqHandles {
+            descriptors: m.counter_handle("descriptors", labels),
+            bytes: m.counter_handle("bytes", labels),
+            latency: m.histogram_handle("descriptor_latency", labels),
+            phases: Phase::ALL.map(|p| m.histogram_handle(p.metric(), labels)),
+        }
+    }
+}
+
+/// The handle cached at `table[a][b]`, registered by `make` on first use.
+fn cached<T: Copy>(table: &mut Vec<Vec<Option<T>>>, a: u16, b: u16, make: impl FnOnce() -> T) -> T {
+    let (a, b) = (a as usize, b as usize);
+    if table.len() <= a {
+        table.resize_with(a + 1, Vec::new);
+    }
+    let row = &mut table[a];
+    if row.len() <= b {
+        row.resize(b + 1, None);
+    }
+    *row[b].get_or_insert_with(make)
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     events: Vec<Event>,
     metrics: Metrics,
+    /// `record_descriptor`'s handles per (device, WQ) and (device, PE).
+    wq_handles: Vec<Vec<Option<WqHandles>>>,
+    pe_handles: Vec<Vec<Option<HistogramHandle>>>,
     traces: Vec<JobTrace>,
     // Tenant context stamped onto traces recorded without one (set by the
     // service layer around each tenant step).
@@ -38,15 +74,20 @@ impl Hub {
     /// metrics from it: per-WQ and per-PE completion-latency histograms,
     /// per-phase histograms, and byte/descriptor counters.
     pub fn record_descriptor(&self, d: DescriptorSpan) {
-        let mut inner = self.inner.borrow_mut();
-        let wq = Labels::wq(d.device, d.wq);
-        let pe = Labels::pe(d.device, d.pe);
-        inner.metrics.counter_add("descriptors", wq, 1);
-        inner.metrics.counter_add("bytes", wq, d.xfer_size as u64);
-        inner.metrics.observe("descriptor_latency", wq, d.total());
-        inner.metrics.observe("descriptor_latency", pe, d.total());
-        for p in Phase::ALL {
-            inner.metrics.observe(p.metric(), wq, d.phase_duration(p));
+        let inner = &mut *self.inner.borrow_mut();
+        let m = &mut inner.metrics;
+        let wq = cached(&mut inner.wq_handles, d.device, d.wq, || {
+            WqHandles::register(m, Labels::wq(d.device, d.wq))
+        });
+        let pe = cached(&mut inner.pe_handles, d.device, d.pe, || {
+            m.histogram_handle("descriptor_latency", Labels::pe(d.device, d.pe))
+        });
+        m.add(wq.descriptors, 1);
+        m.add(wq.bytes, d.xfer_size as u64);
+        m.record(wq.latency, d.total());
+        m.record(pe, d.total());
+        for (p, h) in Phase::ALL.into_iter().zip(wq.phases) {
+            m.record(h, d.phase_duration(p));
         }
         inner.events.push(Event::Descriptor(d));
     }
@@ -59,6 +100,40 @@ impl Hub {
     /// Records a zero-duration marker.
     pub fn instant(&self, track: Track, name: &'static str, at: SimTime) {
         self.inner.borrow_mut().events.push(Event::Instant { track, name, at });
+    }
+
+    /// Registers (or finds) the counter under `(name, labels)` and
+    /// returns a handle for [`add`](Hub::add). A registered counter stays
+    /// out of every read and export until its first write.
+    pub fn counter_handle(&self, name: &'static str, labels: Labels) -> CounterHandle {
+        self.inner.borrow_mut().metrics.counter_handle(name, labels)
+    }
+
+    /// Registers (or finds) the histogram under `(name, labels)`; see
+    /// [`counter_handle`](Hub::counter_handle).
+    pub fn histogram_handle(&self, name: &'static str, labels: Labels) -> HistogramHandle {
+        self.inner.borrow_mut().metrics.histogram_handle(name, labels)
+    }
+
+    /// Registers (or finds) the time series under `(name, labels)`; see
+    /// [`counter_handle`](Hub::counter_handle).
+    pub fn series_handle(&self, name: &'static str, labels: Labels) -> SeriesHandle {
+        self.inner.borrow_mut().metrics.series_handle(name, labels)
+    }
+
+    /// Adds to a counter through a handle from this hub.
+    pub fn add(&self, h: CounterHandle, n: u64) {
+        self.inner.borrow_mut().metrics.add(h, n);
+    }
+
+    /// Records a histogram sample through a handle from this hub.
+    pub fn record(&self, h: HistogramHandle, d: SimDuration) {
+        self.inner.borrow_mut().metrics.record(h, d);
+    }
+
+    /// Appends a time-series point through a handle from this hub.
+    pub fn push(&self, h: SeriesHandle, at: SimTime, v: f64) {
+        self.inner.borrow_mut().metrics.push(h, at, v);
     }
 
     /// Adds to a counter.
@@ -114,7 +189,8 @@ impl Hub {
         f(&self.inner.borrow().events)
     }
 
-    /// Runs `f` over the metrics registry.
+    /// Runs `f` over the metrics registry (the read path exporters and
+    /// windows use).
     pub fn with_metrics<R>(&self, f: impl FnOnce(&Metrics) -> R) -> R {
         f(&self.inner.borrow().metrics)
     }
@@ -169,11 +245,12 @@ impl Hub {
         profile
     }
 
-    /// Drops all recorded events, traces, and metrics.
+    /// Drops all recorded events, traces, and metrics. Metric handles
+    /// issued before the reset stay valid.
     pub fn reset(&self) {
         let mut inner = self.inner.borrow_mut();
         inner.events.clear();
-        inner.metrics = Metrics::new();
+        inner.metrics.clear();
         inner.traces.clear();
         inner.tenant = None;
         inner.next_trace_id = 0;

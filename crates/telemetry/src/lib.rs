@@ -14,14 +14,18 @@
 //!   named spans for jobs and workload stages.
 //! * [`metrics`] — counters, gauges, and log-linear histograms
 //!   (p50/p90/p99/p999) keyed by device/WQ/PE labels, plus utilization
-//!   time series (WQ depth, PE occupancy).
+//!   time series (WQ depth, PE occupancy). Storage is dense: hot
+//!   recorders register a key once and write through a typed handle
+//!   ([`CounterHandle`], [`HistogramHandle`], [`SeriesHandle`]); the
+//!   name-keyed calls serve exporters, tests and cold paths.
 //! * [`causal`] — causal tracing: per-event trace IDs + parent edges
 //!   from the sim engine, per-job critical paths attributed to typed
 //!   segments, and per-tenant/WQ [`CritPathProfile`] breakdowns with
 //!   blame-shift detection across sweeps.
 //! * [`window`] — delta views over the hub ([`HubWindow`]): per-epoch
 //!   counter growth and histogram windows, the observation primitive the
-//!   `dsa-ctl` control loop reads instead of cumulative totals.
+//!   `dsa-ctl` control loop reads instead of cumulative totals. A mark
+//!   copies only the counters and histograms written since the last one.
 //! * [`export`] — Chrome trace-event JSON loadable in Perfetto /
 //!   `chrome://tracing` (with causal flow arrows), flamegraph-style
 //!   folded stacks, a machine-readable metrics CSV, and a PCM-style
@@ -40,6 +44,6 @@ pub use causal::{
 };
 pub use export::{chrome_trace_json, folded_stacks, metrics_csv, pcm_dashboard};
 pub use hub::Hub;
-pub use metrics::{Labels, Metric, Metrics};
+pub use metrics::{CounterHandle, HistogramHandle, Labels, Metric, Metrics, SeriesHandle};
 pub use span::{DescriptorSpan, Event, Phase, Span, Track};
 pub use window::HubWindow;
