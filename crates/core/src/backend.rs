@@ -477,7 +477,8 @@ impl OffloadBackend for DsaBackend {
     }
 }
 
-fn location_of(rt: &DsaRuntime, buf: &BufferHandle) -> Location {
+/// Where `buf` lives (local DRAM when the address is unmapped).
+pub(crate) fn location_of(rt: &DsaRuntime, buf: &BufferHandle) -> Location {
     rt.memory().location_of(buf.addr()).unwrap_or(Location::local_dram())
 }
 

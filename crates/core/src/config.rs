@@ -30,9 +30,6 @@
 use crate::error::DsaError;
 use dsa_device::config::{DeviceCaps, DeviceConfig, GroupConfig, WqConfig};
 
-/// Total WQ entry storage of a DSA 1.0 device, split by [`AccelConfig::wqs`].
-const TOTAL_WQ_ENTRIES: u32 = 128;
-
 /// Validating builder for a [`DeviceConfig`].
 ///
 /// Obtained from [`AccelConfig::builder`]; consumed by
@@ -115,10 +112,12 @@ impl AccelConfig {
         self
     }
 
-    /// Splits the 128-entry WQ storage into `n` equal dedicated WQs on the
-    /// current group (opening a single-engine group if none exists yet).
+    /// Splits the caps' WQ storage (128 entries on DSA 1.0) into `n` equal
+    /// dedicated WQs on the current group (opening a single-engine group if
+    /// none exists yet).
     pub fn wqs(mut self, n: u32) -> AccelConfig {
-        let size = (TOTAL_WQ_ENTRIES / n.max(1)).max(1);
+        let total = self.caps.unwrap_or_else(DeviceCaps::dsa1).wq_total_entries;
+        let size = (total / n.max(1)).max(1);
         for _ in 0..n {
             self = self.dedicated_wq(size);
         }
@@ -135,18 +134,6 @@ impl AccelConfig {
         let last = self.wqs.len().checked_sub(1).expect("priority() before any WQ was added");
         self.wqs[last].priority = priority;
         self
-    }
-
-    /// Index the next [`group`](Self::group) call will get — for wiring
-    /// explicit [`dedicated_wq_in`](Self::dedicated_wq_in) topologies.
-    pub fn next_group(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Index the next `*_wq` call will get — callers that later address
-    /// WQs by index (e.g. `Job::on_wq`) can record it while building.
-    pub fn next_wq(&self) -> usize {
-        self.wqs.len()
     }
 
     /// Validates and produces the device configuration ("enabling" the
@@ -167,11 +154,6 @@ impl AccelConfig {
 /// Ready-made configurations used across the paper's figures.
 pub mod presets {
     use super::*;
-
-    /// One group, one engine, one dedicated 32-entry WQ (§4.1 baseline).
-    pub fn single_engine_dwq() -> DeviceConfig {
-        DeviceConfig::single_engine()
-    }
 
     /// One group with `engines` engines behind one dedicated WQ of
     /// `wq_size` entries (Figs. 4/7).
@@ -277,7 +259,6 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        presets::single_engine_dwq().validate(&DeviceCaps::dsa1()).unwrap();
         presets::engines_behind_one_dwq(4, 128).validate(&DeviceCaps::dsa1()).unwrap();
         presets::n_dwqs_n_engines(4).validate(&DeviceCaps::dsa1()).unwrap();
         presets::one_swq_one_engine().validate(&DeviceCaps::dsa1()).unwrap();

@@ -17,7 +17,7 @@
 //! counters (`dispatch_cpu`, `dispatch_dsa_sync`, `dispatch_dsa_async`,
 //! `dispatch_g1_batches`, `dispatch_cache_control`, `dispatch_fault_fallbacks`).
 
-use crate::backend::{CpuBackend, DsaBackend, Engine, OffloadBackend, OffloadRequest, Ticket};
+use crate::backend::{location_of, CpuBackend, DsaBackend, OffloadBackend, OffloadRequest, Ticket};
 use crate::error::DsaError;
 use crate::guidelines;
 use crate::job::{Batch, Job};
@@ -142,18 +142,6 @@ impl Dispatcher {
     /// An adaptive dispatcher pooling every device of `rt`.
     pub fn all_devices(rt: &DsaRuntime) -> Dispatcher {
         Dispatcher::new().with_backend(DsaBackend::all_devices(rt))
-    }
-
-    /// Builds a dispatcher matching `engine`: `Engine::Cpu` never offloads;
-    /// `Engine::Dsa` always offloads to the named device/WQ. The bridge for
-    /// workloads migrated off their private enums.
-    pub fn for_engine(engine: Engine) -> Dispatcher {
-        match engine {
-            Engine::Cpu => Dispatcher::new().with_policy(DispatchPolicy::CpuOnly),
-            Engine::Dsa { device, wq } => Dispatcher::new()
-                .with_policy(DispatchPolicy::DsaOnly)
-                .with_backend(DsaBackend::with_pool(vec![device]).on_wq(wq)),
-        }
     }
 
     /// Sets the routing policy.
@@ -451,10 +439,6 @@ impl Dispatcher {
         }
         rt.now()
     }
-}
-
-fn location_of(rt: &DsaRuntime, buf: &BufferHandle) -> Location {
-    rt.memory().location_of(buf.addr()).unwrap_or(Location::local_dram())
 }
 
 fn ticket_at(completion: SimTime, bytes: u64) -> Ticket {

@@ -17,7 +17,7 @@
 //!   surfaces as an error); [`Job::submit`]/[`Job::execute`] wrap it in
 //!   the hardware retry loop.
 //! * [`AsyncQueue`] — depth-bounded streaming over `Job`, built on
-//!   [`InflightWindow`](crate::submit::InflightWindow).
+//!   [`InflightWindow`].
 //! * [`Dispatcher`](crate::dispatch::Dispatcher) — **placement policy**
 //!   (CPU vs DSA, sync vs async, batching) over the same mechanism.
 //! * `DsaService` (the `dsa-svc` crate) — **multi-tenant policy**
@@ -697,37 +697,14 @@ impl Batch {
     /// # Errors
     ///
     /// Propagates submission failures.
-    pub fn execute(mut self, rt: &mut DsaRuntime) -> Result<BatchReport, DsaError> {
-        if self.device >= rt.device_count() {
-            return Err(DsaError::UnknownDevice { device: self.device });
-        }
-        if self.cache_control {
-            for d in &mut self.descs {
-                *d = d.clone().with_cache_control();
-            }
-        }
+    pub fn execute(self, rt: &mut DsaRuntime) -> Result<BatchReport, DsaError> {
         let started = rt.now();
-        rt.advance(DESC_PREPARE.saturating_mul(self.descs.len() as u64));
-        // One descriptor-list allocation, assumed pre-allocated (amortized).
-        let list = rt.alloc(64 * self.descs.len() as u64, dsa_mem::buffer::Location::local_dram());
-        let method_cost = SubmitMethod::Movdir64b.core_cost();
-        rt.advance(method_cost);
-        let batch = BatchDescriptor::new(list.addr(), self.descs.len() as u32);
-        let exec = loop {
-            let now = rt.now();
-            let (dev, memory, memsys) = rt.parts(self.device);
-            match dev.submit_batch(memory, memsys, WqId(self.wq), &batch, &self.descs, now) {
-                Ok(exec) => break exec,
-                Err(SubmitError::WqFull { retry_at }) => rt.advance_to(retry_at),
-                Err(e) => return Err(e.into()),
-            }
-        };
-        self.note_batch_trace(rt, started, &exec);
-        let w = WaitMethod::SpinPoll.wait(rt.now(), exec.completed);
+        let handle = self.submit(rt)?;
+        let w = WaitMethod::SpinPoll.wait(rt.now(), handle.completed);
         rt.advance_to(w.observed_at);
         Ok(BatchReport {
-            records: exec.records,
-            batch_record: exec.batch_record,
+            records: handle.records,
+            batch_record: handle.batch_record,
             started,
             finished: rt.now(),
         })

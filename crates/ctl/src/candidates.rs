@@ -39,7 +39,7 @@ pub fn candidates(svc: &DsaService, obs: &Observation) -> Vec<Plan> {
     if let Ok(p) = Plan::by_class_of(&classes) {
         // The throughput pool is always the last group of the by-class
         // carve; starve its read buffers to throttle fabric aggressors.
-        if let Ok(b) = p.with_read_buffers(p.groups().len() - 1, RBUF_CLAMP) {
+        if let Ok(b) = p.with_read_buffers(p.device().groups.len() - 1, RBUF_CLAMP) {
             raw.push(b.with_label("by-class+rbuf"));
         }
         raw.push(p);

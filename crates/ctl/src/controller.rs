@@ -249,31 +249,12 @@ impl Governor {
         let at = svc.runtime().now();
         let margin = self.cfg.hysteresis * incumbent_score.abs();
         let adopted = score + margin < incumbent_score;
-        let (mut moved, mut ready) = (0, at);
-        if adopted {
-            // Candidates already passed device validation inside the twin,
-            // so this cannot fail; recording a non-adopted decision keeps
-            // the digest honest if it somehow does.
-            match svc.transition(plan.clone(), &self.cfg.costs) {
-                Ok(tr) => {
-                    moved = tr.moved;
-                    ready = tr.ready;
-                }
-                Err(_) => {
-                    return Some(Decision {
-                        epoch,
-                        at,
-                        from: incumbent.label().to_string(),
-                        to: plan.label().to_string(),
-                        incumbent_score,
-                        score,
-                        adopted: false,
-                        moved: 0,
-                        ready: at,
-                    })
-                }
-            }
-        }
+        let (moved, ready) = if adopted {
+            let tr = svc.transition(plan.clone(), &self.cfg.costs);
+            (tr.moved, tr.ready)
+        } else {
+            (0, at)
+        };
         Some(Decision {
             epoch,
             at,

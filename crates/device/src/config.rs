@@ -94,7 +94,7 @@ impl GroupConfig {
 }
 
 /// Full device configuration.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeviceConfig {
     /// Groups, indexed by the `group` field of each WQ.
     pub groups: Vec<GroupConfig>,

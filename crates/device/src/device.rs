@@ -112,26 +112,6 @@ pub struct ExecTimeline {
 }
 
 impl ExecTimeline {
-    /// Time spent queued in the WQ and arbiter.
-    pub fn queue_time(&self) -> SimDuration {
-        self.dispatched.saturating_duration_since(self.submitted)
-    }
-
-    /// Time the engine spent on data movement and the operation.
-    pub fn processing_time(&self) -> SimDuration {
-        self.data_done.saturating_duration_since(self.dispatched)
-    }
-
-    /// Time the engine spent translating addresses before data moved.
-    pub fn translate_time(&self) -> SimDuration {
-        self.translated.saturating_duration_since(self.dispatched)
-    }
-
-    /// Time spent streaming data (reads + writes, including any UPI hop).
-    pub fn stream_time(&self) -> SimDuration {
-        self.data_done.saturating_duration_since(self.translated)
-    }
-
     /// Total device-side latency.
     pub fn total(&self) -> SimDuration {
         self.completed.saturating_duration_since(self.submitted)
@@ -198,9 +178,6 @@ struct WqState {
     cfg: crate::config::WqConfig,
     window: SlidingWindow,
     enqcmd_port: dsa_sim::timeline::Timeline,
-    /// Submissions this WQ refused with `WqFull` (per-queue back-pressure
-    /// accounting for multi-tenant admission control).
-    full_rejections: u64,
 }
 
 /// One DSA instance.
@@ -247,8 +224,8 @@ impl DsaDevice {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails validation; [`try_with_timing`]
-    /// (Self::try_with_timing) is the fallible path.
+    /// Panics if `config` fails validation;
+    /// [`try_with_timing`](Self::try_with_timing) is the fallible path.
     pub fn with_timing(
         id: u16,
         config: DeviceConfig,
@@ -290,7 +267,6 @@ impl DsaDevice {
                 cfg,
                 window: SlidingWindow::new(cfg.size as usize),
                 enqcmd_port: dsa_sim::timeline::Timeline::new(),
-                full_rejections: 0,
             })
             .collect();
         Ok(DsaDevice {
@@ -381,29 +357,7 @@ impl DsaDevice {
         self.socket
     }
 
-    /// Descriptors occupying slots of WQ `wq` whose completion lies after
-    /// `now` — the WQ occupancy a load balancer sees.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wq` is out of range.
-    pub fn wq_pending(&self, wq: WqId, now: SimTime) -> usize {
-        self.wqs[wq.0].window.pending_at(now)
-    }
-
-    /// Submissions WQ `wq` has refused with [`SubmitError::WqFull`] so far
-    /// (per-queue back-pressure; admission controllers read this to size
-    /// retry budgets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wq` is out of range.
-    pub fn wq_full_events(&self, wq: WqId) -> u64 {
-        self.wqs[wq.0].full_rejections
-    }
-
     fn record_wq_full(&mut self, wq: WqId) {
-        self.wqs[wq.0].full_rejections += 1;
         self.telemetry.wq_rejections += 1;
         if let Some(p) = &self.hub {
             p.hub.add(p.wq_full[wq.0], 1);
@@ -445,17 +399,6 @@ impl DsaDevice {
         self.check_wq(wq)?;
         let occupancy = SimDuration::from_ns(40);
         Ok(self.wqs[wq.0].enqcmd_port.reserve(issue, occupancy).end)
-    }
-
-    /// Probes whether WQ `wq` could accept a descriptor at `now`
-    /// (the ENQCMD retry bit).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::UnknownWq`] if `wq` is out of range.
-    pub fn wq_available_at(&self, wq: WqId, now: SimTime) -> Result<SimTime, SubmitError> {
-        let state = self.wqs.get(wq.0).ok_or(SubmitError::UnknownWq { wq: wq.0 })?;
-        Ok(state.window.available_at(now))
     }
 
     /// Submits one work descriptor to `wq` at `now` and processes it to
@@ -1195,8 +1138,6 @@ mod tests {
             Err(SubmitError::WqFull { retry_at }) => assert!(retry_at > SimTime::ZERO),
             other => panic!("expected WqFull, got {other:?}"),
         }
-        // Rejections are accounted per-WQ and device-wide.
-        assert_eq!(rig.dev.wq_full_events(WqId(0)), 1);
         assert_eq!(rig.dev.telemetry().wq_rejections, 1);
     }
 

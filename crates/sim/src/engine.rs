@@ -155,8 +155,8 @@ pub type CauseObserver = Box<dyn FnMut(CausalEdge)>;
 /// The event loop.
 ///
 /// Generic over the pending-event [`Scheduler`] `Q` (default:
-/// [`CalendarScheduler`]). The reference [`HeapScheduler`]
-/// (crate::sched::HeapScheduler) can be swapped in via
+/// [`CalendarScheduler`]). The reference
+/// [`HeapScheduler`](crate::sched::HeapScheduler) can be swapped in via
 /// [`with_scheduler`](Engine::with_scheduler) — the determinism tests diff
 /// the two and assert bit-identical event streams.
 pub struct Engine<M, S, Q: Scheduler<M> = CalendarScheduler> {
@@ -229,11 +229,6 @@ impl<M, S, Q: Scheduler<M>> Engine<M, S, Q> {
         self.cause_observer = Some(Box::new(obs));
     }
 
-    /// Removes the cause observer, if any.
-    pub fn clear_cause_observer(&mut self) {
-        self.cause_observer = None;
-    }
-
     /// Registers a component, returning its id.
     pub fn add(&mut self, c: impl Component<M, S> + 'static) -> ComponentId {
         self.components.push(Some(Box::new(c)));
@@ -264,11 +259,6 @@ impl<M, S, Q: Scheduler<M>> Engine<M, S, Q> {
     /// Shared state accessor.
     pub fn shared(&self) -> &S {
         &self.shared
-    }
-
-    /// Mutable shared state accessor.
-    pub fn shared_mut(&mut self) -> &mut S {
-        &mut self.shared
     }
 
     /// Number of events handled so far.

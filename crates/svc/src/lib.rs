@@ -13,10 +13,11 @@
 //!   is bounded before it reaches the portal.
 //! * **Placement** ([`Plan`] / [`PlanSpec`]) — tenants map onto dedicated
 //!   WQs, one shared WQ, by QoS class ([`QosClass`]), or any explicit
-//!   layout built through [`Plan::builder`]; the service builds the
-//!   matching device configuration itself, and a live service can
-//!   [`transition`](DsaService::transition) between plans with the stall
-//!   priced by [`Plan::diff`].
+//!   layout: [`Plan::new`] pairs a validated
+//!   [`DeviceConfig`](dsa_device::config::DeviceConfig) with a tenant
+//!   [`Wiring`]. The service runs its device on that layout, and a live
+//!   service can [`transition`](DsaService::transition) between plans
+//!   with the stall priced by [`Plan::diff`].
 //! * **Objectives** ([`SloTarget`]) — typed p99 / miss-rate / fairness
 //!   targets on the config; [`ServiceReport::slo_violations`] and the
 //!   `dsa-ctl` control plane both check against the same object.
@@ -70,9 +71,7 @@ pub mod tenant;
 pub use admission::TokenBucket;
 pub use arrival::Arrival;
 pub use fleet::{Fleet, FleetConfig, FleetReport, ShardReport, TenantProfile};
-pub use plan::{
-    Plan, PlanBuilder, PlanDelta, PlanGroup, PlanSpec, PlanWq, TransitionCosts, Wiring,
-};
+pub use plan::{Plan, PlanDelta, PlanSpec, TransitionCosts, Wiring};
 pub use service::{
     DsaService, JobOutcome, PlanTransition, ServiceBuilder, ServiceConfig, ServiceReport, Session,
 };

@@ -1,16 +1,16 @@
 //! First-class placement plans: validated, diffable, immutable WQ/group
 //! layouts.
 //!
-//! A [`Plan`] is an explicit object: the group carve (engines and
-//! optional read-buffer allotment per group), the WQ layout (size, mode,
-//! owning group per WQ), and the tenant wiring (which WQ each tenant
-//! submits to). Plans are built through
-//! [`Plan::builder`] (validated against the DSA 1.0 envelope at
-//! `build()`, the same by-value idiom as
-//! [`AccelConfig::builder`](dsa_core::config::AccelConfig::builder)) or
-//! through the canonical recipes [`Plan::shared`], [`Plan::dedicated`],
-//! and [`Plan::by_class_of`], which reproduce the three historical
-//! layouts bit-for-bit.
+//! A [`Plan`] is a validated [`DeviceConfig`] — the group carve (engines
+//! and optional read-buffer allotment per group) and the WQ layout (size,
+//! mode, owning group per WQ) — plus the tenant [`Wiring`] (which WQ each
+//! tenant submits to). [`Plan::new`] is the one constructor: it checks
+//! the layout against the DSA 1.0 envelope and the wiring against the
+//! layout, so a plan never holds an invalid layout. Explicit layouts come
+//! from [`AccelConfig::builder`](dsa_core::config::AccelConfig::builder);
+//! the canonical recipes [`Plan::shared`], [`Plan::dedicated`], and
+//! [`Plan::by_class_of`] reproduce the three historical layouts
+//! bit-for-bit.
 //!
 //! Because a plan is a value, transitions are too: [`Plan::diff`]
 //! yields a [`PlanDelta`] whose [`cost`](PlanDelta::cost) prices the
@@ -27,37 +27,8 @@ use crate::tenant::{QosClass, TenantSpec};
 use dsa_core::config::AccelConfig;
 use dsa_core::digest::{Digestible, Fnv1a};
 use dsa_core::error::DsaError;
-use dsa_device::config::DeviceConfig;
+use dsa_device::config::{DeviceCaps, DeviceConfig, WqMode};
 use dsa_sim::time::SimDuration;
-
-/// DSA 1.0 envelope the plans carve up (see `DeviceCaps::dsa1`).
-pub const TOTAL_ENGINES: u32 = 4;
-/// Total WQ entries the device exposes.
-pub const TOTAL_WQ_ENTRIES: u32 = 128;
-/// Maximum engine groups.
-pub const MAX_GROUPS: usize = 4;
-
-/// One engine group of a plan: how many of the 4 engines it owns and,
-/// optionally, an explicit per-engine read-buffer allotment (`None`
-/// leaves the device default in force).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanGroup {
-    /// Engines assigned to this group.
-    pub engines: u32,
-    /// Per-engine read-buffer allotment override, if any.
-    pub read_buffers: Option<u32>,
-}
-
-/// One work queue of a plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanWq {
-    /// WQ entries carved out of the 128-entry envelope.
-    pub size: u32,
-    /// Shared (`ENQCMD`) vs dedicated (`MOVDIR64B`) mode.
-    pub shared: bool,
-    /// Owning group index.
-    pub group: usize,
-}
 
 /// How tenants are wired onto the plan's WQs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,23 +50,38 @@ pub enum Wiring {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Plan {
     label: String,
-    groups: Vec<PlanGroup>,
-    wqs: Vec<PlanWq>,
+    device: DeviceConfig,
     wiring: Wiring,
 }
 
 impl Plan {
-    /// Starts an empty builder. Add at least one group and one WQ.
-    pub fn builder() -> PlanBuilder {
-        PlanBuilder {
-            label: String::from("custom"),
-            groups: Vec::new(),
-            wqs: Vec::new(),
-            wire_index: None,
-            wire_latency: None,
-            wire_throughput: None,
-            misuse: None,
+    /// A plan labelled `label` that lays the device out as `device` and
+    /// wires tenants by `wiring`.
+    ///
+    /// # Errors
+    ///
+    /// [`DsaError::InvalidService`] when a wiring list is empty or names
+    /// a WQ `device` lacks; [`DsaError::InvalidConfig`] when `device`
+    /// violates the DSA 1.0 envelope.
+    pub fn new(label: &str, device: DeviceConfig, wiring: Wiring) -> Result<Plan, DsaError> {
+        let lists: &[&[usize]] = match &wiring {
+            Wiring::ByIndex(list) => &[list],
+            Wiring::ByClass { latency, throughput } => &[latency, throughput],
+        };
+        for list in lists {
+            if list.is_empty() {
+                return Err(DsaError::InvalidService {
+                    reason: String::from("plan wiring lists no work queues"),
+                });
+            }
+            if list.iter().any(|&wq| wq >= device.wqs.len()) {
+                return Err(DsaError::InvalidService {
+                    reason: String::from("plan wiring names a work queue the plan lacks"),
+                });
+            }
         }
+        device.validate(&DeviceCaps::dsa1()).map_err(DsaError::InvalidConfig)?;
+        Ok(Plan { label: String::from(label), device, wiring })
     }
 
     /// The canonical pooled layout: one group owning all 4 engines, one
@@ -107,12 +93,10 @@ impl Plan {
     /// Never fails in practice; kept fallible for uniformity with the
     /// other recipes.
     pub fn shared() -> Result<Plan, DsaError> {
-        Plan::builder()
-            .label("shared")
-            .group(TOTAL_ENGINES)
-            .shared_wq(TOTAL_WQ_ENTRIES)
-            .wire([0])
-            .build()
+        let caps = DeviceCaps::dsa1();
+        let device =
+            AccelConfig::builder().group(caps.engines).shared_wq(caps.wq_total_entries).build()?;
+        Plan::new("shared", device, Wiring::ByIndex(vec![0]))
     }
 
     /// The canonical isolated layout for `n` tenants (Fig. 9 "DWQ: N"):
@@ -123,17 +107,21 @@ impl Plan {
     ///
     /// [`DsaError::InvalidConfig`] when `n` exceeds the 8-WQ envelope.
     pub fn dedicated(n: usize) -> Result<Plan, DsaError> {
+        let caps = DeviceCaps::dsa1();
         let n = n.max(1);
-        let groups = n.min(MAX_GROUPS);
-        let size = (TOTAL_WQ_ENTRIES / n as u32).max(1);
-        let mut b = Plan::builder().label("dedicated");
+        let groups = n.min(caps.groups as usize);
+        let size = (caps.wq_total_entries / n as u32).max(1);
+        // The engines split as evenly as possible, earlier groups taking
+        // the remainder.
+        let (base, extra) = (caps.engines / groups as u32, caps.engines as usize % groups);
+        let mut cfg = AccelConfig::builder();
         for g in 0..groups {
-            b = b.group(engines_for(g, groups));
+            cfg = cfg.group(base + u32::from(g < extra));
         }
         for t in 0..n {
-            b = b.dedicated_wq_in(size, t % groups);
+            cfg = cfg.dedicated_wq_in(size, t % groups);
         }
-        b.wire(0..n).build()
+        Plan::new("dedicated", cfg.build()?, Wiring::ByIndex((0..n).collect()))
     }
 
     /// The canonical QoS layout for a roster with these classes:
@@ -150,27 +138,28 @@ impl Plan {
     pub fn by_class_of(classes: &[QosClass]) -> Result<Plan, DsaError> {
         let n = classes.len().max(1);
         let latency = classes.iter().filter(|c| **c == QosClass::Latency).count();
-        let throughput = n - latency;
-        if throughput == 0 {
+        if latency == n {
             return Ok(Plan::dedicated(n)?.with_label("by-class"));
         }
         if latency == 0 {
             return Ok(Plan::shared()?.with_label("by-class"));
         }
-        let dgroups = latency.min(MAX_GROUPS - 1);
-        let mut b = Plan::builder().label("by-class");
+        let caps = DeviceCaps::dsa1();
+        let dgroups = latency.min(caps.groups as usize - 1);
+        let mut cfg = AccelConfig::builder();
         for _ in 0..dgroups {
-            b = b.group(1);
+            cfg = cfg.group(1);
         }
-        let shared_group = dgroups;
-        b = b.group(TOTAL_ENGINES - dgroups as u32);
-        let dsize = ((TOTAL_WQ_ENTRIES / 2) / latency as u32).max(1);
+        cfg = cfg.group(caps.engines - dgroups as u32);
+        let half = caps.wq_total_entries / 2;
+        let dsize = (half / latency as u32).max(1);
         for t in 0..latency {
-            b = b.dedicated_wq_in(dsize, t % dgroups);
+            cfg = cfg.dedicated_wq_in(dsize, t % dgroups);
         }
-        b = b.shared_wq_in(TOTAL_WQ_ENTRIES / 2, shared_group);
-        let shared_wq = latency; // appended after the dedicated WQs
-        b.wire_latency(0..latency).wire_throughput([shared_wq]).build()
+        // The shared WQ sits in the last group, after the dedicated WQs.
+        cfg = cfg.shared_wq_in(half, dgroups);
+        let wiring = Wiring::ByClass { latency: (0..latency).collect(), throughput: vec![latency] };
+        Plan::new("by-class", cfg.build()?, wiring)
     }
 
     /// The same plan with a different display label (labels feed report
@@ -191,15 +180,14 @@ impl Plan {
     /// [`DsaError::InvalidConfig`] when the allotment violates the
     /// device's read-buffer envelope.
     pub fn with_read_buffers(&self, g: usize, per_engine: u32) -> Result<Plan, DsaError> {
-        if g >= self.groups.len() {
+        let mut device = self.device.clone();
+        let Some(group) = device.groups.get_mut(g) else {
             return Err(DsaError::InvalidService {
                 reason: format!("plan has no group {g} to re-buffer"),
             });
-        }
-        let mut next = self.clone();
-        next.groups[g].read_buffers = Some(per_engine);
-        next.device_config()?; // re-validate against the envelope
-        Ok(next)
+        };
+        group.read_buffers_per_engine = Some(per_engine);
+        Plan::new(&self.label, device, self.wiring.clone())
     }
 
     /// Short lowercase label for tables and digests.
@@ -207,43 +195,14 @@ impl Plan {
         &self.label
     }
 
-    /// The engine groups, in device order.
-    pub fn groups(&self) -> &[PlanGroup] {
-        &self.groups
-    }
-
-    /// The WQ layout, in device order.
-    pub fn wqs(&self) -> &[PlanWq] {
-        &self.wqs
+    /// The device layout: engine groups and WQs, in device order.
+    pub fn device(&self) -> &DeviceConfig {
+        &self.device
     }
 
     /// The tenant wiring rule.
     pub fn wiring(&self) -> &Wiring {
         &self.wiring
-    }
-
-    /// Builds the device configuration this plan describes, re-validating
-    /// it against the DSA 1.0 envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`DsaError::InvalidConfig`] with the violated constraint.
-    pub fn device_config(&self) -> Result<DeviceConfig, DsaError> {
-        let mut cfg = AccelConfig::builder();
-        for g in &self.groups {
-            cfg = cfg.group(g.engines);
-            if let Some(rb) = g.read_buffers {
-                cfg = cfg.read_buffers(rb);
-            }
-        }
-        for w in &self.wqs {
-            cfg = if w.shared {
-                cfg.shared_wq_in(w.size, w.group)
-            } else {
-                cfg.dedicated_wq_in(w.size, w.group)
-            };
-        }
-        cfg.build()
     }
 
     /// The WQ index each tenant of `specs` submits to under this plan's
@@ -281,24 +240,25 @@ impl Plan {
 
     /// What changes when transitioning from `self` to `to`.
     pub fn diff(&self, to: &Plan) -> PlanDelta {
-        let engines = |p: &Plan| p.groups.iter().map(|g| g.engines).collect::<Vec<_>>();
-        let buffers = |p: &Plan| p.groups.iter().map(|g| g.read_buffers).collect::<Vec<_>>();
-        let n = self.wqs.len().min(to.wqs.len());
+        let (from, into) = (&self.device, &to.device);
+        let engines = |d: &DeviceConfig| d.groups.iter().map(|g| g.engines).collect::<Vec<_>>();
+        let buffers = |d: &DeviceConfig| {
+            d.groups.iter().map(|g| g.read_buffers_per_engine).collect::<Vec<_>>()
+        };
         let mut resized = 0usize;
         let mut remoded = 0usize;
-        for i in 0..n {
-            let (a, b) = (self.wqs[i], to.wqs[i]);
-            if a.shared != b.shared {
+        for (a, b) in from.wqs.iter().zip(&into.wqs) {
+            if a.mode != b.mode {
                 remoded += 1;
-            } else if a.size != b.size || a.group != b.group {
+            } else if a != b {
                 resized += 1;
             }
         }
         PlanDelta {
-            groups_changed: engines(self) != engines(to),
-            read_buffers_changed: buffers(self) != buffers(to),
-            wqs_added: to.wqs.len().saturating_sub(self.wqs.len()),
-            wqs_removed: self.wqs.len().saturating_sub(to.wqs.len()),
+            groups_changed: engines(from) != engines(into),
+            read_buffers_changed: buffers(from) != buffers(into),
+            wqs_added: into.wqs.len().saturating_sub(from.wqs.len()),
+            wqs_removed: from.wqs.len().saturating_sub(into.wqs.len()),
             wqs_resized: resized,
             wqs_remoded: remoded,
             rewired: self.wiring != to.wiring,
@@ -309,10 +269,10 @@ impl Plan {
 impl Digestible for Plan {
     fn fold(&self, h: &mut Fnv1a) {
         h.write(self.label.as_bytes());
-        h.write_u64(self.groups.len() as u64);
-        for g in &self.groups {
+        h.write_u64(self.device.groups.len() as u64);
+        for g in &self.device.groups {
             h.write_u64(u64::from(g.engines));
-            match g.read_buffers {
+            match g.read_buffers_per_engine {
                 Some(rb) => {
                     h.write_u64(1);
                     h.write_u64(u64::from(rb));
@@ -320,10 +280,10 @@ impl Digestible for Plan {
                 None => h.write_u64(0),
             }
         }
-        h.write_u64(self.wqs.len() as u64);
-        for w in &self.wqs {
+        h.write_u64(self.device.wqs.len() as u64);
+        for w in &self.device.wqs {
             h.write_u64(u64::from(w.size));
-            h.write_u64(u64::from(w.shared));
+            h.write_u64(u64::from(w.mode == WqMode::Shared));
             h.write_u64(w.group as u64);
         }
         match &self.wiring {
@@ -344,149 +304,6 @@ impl Digestible for Plan {
                 }
             }
         }
-    }
-}
-
-/// By-value builder for [`Plan`]. See [`Plan::builder`].
-#[derive(Clone, Debug)]
-pub struct PlanBuilder {
-    label: String,
-    groups: Vec<PlanGroup>,
-    wqs: Vec<PlanWq>,
-    wire_index: Option<Vec<usize>>,
-    wire_latency: Option<Vec<usize>>,
-    wire_throughput: Option<Vec<usize>>,
-    misuse: Option<&'static str>,
-}
-
-impl PlanBuilder {
-    /// Sets the plan's display label.
-    pub fn label(mut self, label: &str) -> PlanBuilder {
-        self.label = String::from(label);
-        self
-    }
-
-    /// Opens the next engine group with `engines` engines.
-    pub fn group(mut self, engines: u32) -> PlanBuilder {
-        self.groups.push(PlanGroup { engines, read_buffers: None });
-        self
-    }
-
-    /// Sets the per-engine read-buffer allotment of the group opened
-    /// last.
-    pub fn read_buffers(mut self, per_engine: u32) -> PlanBuilder {
-        match self.groups.last_mut() {
-            Some(g) => g.read_buffers = Some(per_engine),
-            None => self.misuse = self.misuse.or(Some("read_buffers before any group")),
-        }
-        self
-    }
-
-    /// Adds a dedicated WQ to the group opened last.
-    pub fn dedicated_wq(self, size: u32) -> PlanBuilder {
-        let g = self.groups.len().saturating_sub(1);
-        self.push_wq(size, false, g)
-    }
-
-    /// Adds a shared WQ to the group opened last.
-    pub fn shared_wq(self, size: u32) -> PlanBuilder {
-        let g = self.groups.len().saturating_sub(1);
-        self.push_wq(size, true, g)
-    }
-
-    /// Adds a dedicated WQ to group `g`.
-    pub fn dedicated_wq_in(self, size: u32, g: usize) -> PlanBuilder {
-        self.push_wq(size, false, g)
-    }
-
-    /// Adds a shared WQ to group `g`.
-    pub fn shared_wq_in(self, size: u32, g: usize) -> PlanBuilder {
-        self.push_wq(size, true, g)
-    }
-
-    fn push_wq(mut self, size: u32, shared: bool, g: usize) -> PlanBuilder {
-        if self.groups.is_empty() {
-            self.misuse = self.misuse.or(Some("work queue before any group"));
-        }
-        self.wqs.push(PlanWq { size, shared, group: g });
-        self
-    }
-
-    /// Wires tenants by index: tenant `i` submits to the `i % len`-th WQ
-    /// of `list`. Mutually exclusive with the class wiring below.
-    pub fn wire(mut self, list: impl IntoIterator<Item = usize>) -> PlanBuilder {
-        self.wire_index = Some(list.into_iter().collect());
-        self
-    }
-
-    /// Wires [`QosClass::Latency`] tenants round-robin over `list`
-    /// (default: all WQs).
-    pub fn wire_latency(mut self, list: impl IntoIterator<Item = usize>) -> PlanBuilder {
-        self.wire_latency = Some(list.into_iter().collect());
-        self
-    }
-
-    /// Wires [`QosClass::Throughput`] tenants round-robin over `list`
-    /// (default: all WQs).
-    pub fn wire_throughput(mut self, list: impl IntoIterator<Item = usize>) -> PlanBuilder {
-        self.wire_throughput = Some(list.into_iter().collect());
-        self
-    }
-
-    /// Validates the layout against the DSA 1.0 envelope and freezes the
-    /// plan.
-    ///
-    /// # Errors
-    ///
-    /// [`DsaError::InvalidService`] for wiring errors (out-of-range or
-    /// empty WQ lists, mixed wiring styles, WQs before any group);
-    /// [`DsaError::InvalidConfig`] for envelope violations.
-    pub fn build(self) -> Result<Plan, DsaError> {
-        if let Some(why) = self.misuse {
-            return Err(DsaError::InvalidService { reason: String::from(why) });
-        }
-        if self.wqs.is_empty() {
-            return Err(DsaError::InvalidService {
-                reason: String::from("plan has no work queues"),
-            });
-        }
-        if self.wire_index.is_some()
-            && (self.wire_latency.is_some() || self.wire_throughput.is_some())
-        {
-            return Err(DsaError::InvalidService {
-                reason: String::from("plan mixes by-index and by-class wiring"),
-            });
-        }
-        let all: Vec<usize> = (0..self.wqs.len()).collect();
-        let wiring = if let Some(list) = self.wire_index {
-            Wiring::ByIndex(list)
-        } else if self.wire_latency.is_some() || self.wire_throughput.is_some() {
-            Wiring::ByClass {
-                latency: self.wire_latency.unwrap_or_else(|| all.clone()),
-                throughput: self.wire_throughput.unwrap_or(all),
-            }
-        } else {
-            Wiring::ByIndex(all)
-        };
-        let lists: &[&[usize]] = match &wiring {
-            Wiring::ByIndex(list) => &[list],
-            Wiring::ByClass { latency, throughput } => &[latency, throughput],
-        };
-        for list in lists {
-            if list.is_empty() {
-                return Err(DsaError::InvalidService {
-                    reason: String::from("plan wiring lists no work queues"),
-                });
-            }
-            if list.iter().any(|&wq| wq >= self.wqs.len()) {
-                return Err(DsaError::InvalidService {
-                    reason: String::from("plan wiring names a work queue the plan lacks"),
-                });
-            }
-        }
-        let plan = Plan { label: self.label, groups: self.groups, wqs: self.wqs, wiring };
-        plan.device_config()?;
-        Ok(plan)
     }
 }
 
@@ -610,14 +427,6 @@ impl From<Plan> for PlanSpec {
     }
 }
 
-/// Engines assigned to group `g` of `groups`: the 4 engines split as
-/// evenly as possible, earlier groups taking the remainder.
-pub(crate) fn engines_for(g: usize, groups: usize) -> u32 {
-    let base = TOTAL_ENGINES / groups as u32;
-    let extra = TOTAL_ENGINES as usize % groups;
-    base + u32::from(g < extra)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,73 +440,32 @@ mod tests {
     }
 
     #[test]
-    fn shared_recipe_matches_historical_layout() {
-        let p = Plan::shared().unwrap();
-        assert_eq!(p.label(), "shared");
-        assert_eq!(p.groups().len(), 1);
-        assert_eq!(p.groups()[0].engines, TOTAL_ENGINES);
-        assert_eq!(p.wqs(), &[PlanWq { size: TOTAL_WQ_ENTRIES, shared: true, group: 0 }]);
-        let specs = roster(&[QosClass::Throughput; 5]);
-        assert_eq!(p.assign(&specs), vec![0; 5]);
-    }
-
-    #[test]
-    fn dedicated_recipe_matches_historical_layout() {
-        let p = Plan::dedicated(6).unwrap();
-        assert_eq!(p.groups().len(), 4, "6 tenants cap at MAX_GROUPS groups");
-        assert_eq!(p.groups().iter().map(|g| g.engines).sum::<u32>(), TOTAL_ENGINES);
-        assert_eq!(p.wqs().len(), 6);
-        assert!(p.wqs().iter().all(|w| !w.shared && w.size == 128 / 6));
-        let specs = roster(&[QosClass::Throughput; 6]);
-        assert_eq!(p.assign(&specs), vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn by_class_recipe_matches_historical_layout() {
+    fn recipes_wire_tenants_as_documented() {
         use QosClass::{Latency as L, Throughput as T};
-        let classes = [T, L, T, L];
-        let p = Plan::by_class_of(&classes).unwrap();
-        assert_eq!(p.label(), "by-class");
-        assert_eq!(p.groups().len(), 3, "2 single-engine dedicated groups + shared group");
-        assert_eq!(p.wqs().len(), 3, "2 dedicated WQs + 1 shared");
-        assert!(p.wqs()[2].shared);
+        let shared = Plan::shared().unwrap();
+        assert_eq!(shared.assign(&roster(&[T; 5])), vec![0; 5]);
+        let dedicated = Plan::dedicated(6).unwrap();
+        assert_eq!(dedicated.assign(&roster(&[T; 6])), vec![0, 1, 2, 3, 4, 5]);
         // Latency tenants take dedicated WQs in roster order; throughput
         // tenants pool on the appended shared WQ.
-        assert_eq!(p.assign(&roster(&classes)), vec![2, 0, 2, 1]);
+        let classes = [T, L, T, L];
+        let by_class = Plan::by_class_of(&classes).unwrap();
+        assert_eq!(by_class.device().wqs[2].mode, WqMode::Shared);
+        assert_eq!(by_class.assign(&roster(&classes)), vec![2, 0, 2, 1]);
     }
 
     #[test]
-    fn by_class_falls_back_but_keeps_its_label() {
-        let all_thr = Plan::by_class_of(&[QosClass::Throughput; 3]).unwrap();
-        assert_eq!(all_thr.label(), "by-class");
-        assert_eq!(all_thr.wqs().len(), 1);
-        assert!(all_thr.wqs()[0].shared);
-        let all_lat = Plan::by_class_of(&[QosClass::Latency; 3]).unwrap();
-        assert_eq!(all_lat.label(), "by-class");
-        assert_eq!(all_lat.wqs().len(), 3);
-        assert!(all_lat.wqs().iter().all(|w| !w.shared));
-    }
-
-    #[test]
-    fn builder_rejects_bad_wiring() {
-        let no_wqs = Plan::builder().group(4).build();
+    fn new_rejects_bad_wiring_and_layouts() {
+        let one_swq = || AccelConfig::builder().group(4).shared_wq(64).build().unwrap();
+        let empty =
+            Plan::new("p", one_swq(), Wiring::ByClass { latency: vec![], throughput: vec![0] });
+        assert!(matches!(empty, Err(DsaError::InvalidService { .. })), "got {empty:?}");
+        let no_wqs = DeviceConfig { groups: one_swq().groups, wqs: vec![] };
+        let no_wqs = Plan::new("p", no_wqs, Wiring::ByIndex(vec![0]));
         assert!(matches!(no_wqs, Err(DsaError::InvalidService { .. })), "got {no_wqs:?}");
-        let out_of_range = Plan::builder().group(4).shared_wq(64).wire([3]).build();
-        assert!(
-            matches!(out_of_range, Err(DsaError::InvalidService { .. })),
-            "got {out_of_range:?}"
-        );
-        let mixed = Plan::builder().group(4).shared_wq(64).wire([0]).wire_latency([0]).build();
-        assert!(matches!(mixed, Err(DsaError::InvalidService { .. })), "got {mixed:?}");
-        let orphan_wq = Plan::builder().shared_wq(64).build();
-        assert!(matches!(orphan_wq, Err(DsaError::InvalidService { .. })), "got {orphan_wq:?}");
-    }
-
-    #[test]
-    fn builder_surfaces_envelope_violations() {
-        let nine = Plan::dedicated(9);
-        assert!(matches!(nine, Err(DsaError::InvalidConfig(_))), "got {nine:?}");
-        let five_engines = Plan::builder().group(5).shared_wq(64).build();
+        let mut five_engines = one_swq();
+        five_engines.groups[0].engines = 5;
+        let five_engines = Plan::new("p", five_engines, Wiring::ByIndex(vec![0]));
         assert!(matches!(five_engines, Err(DsaError::InvalidConfig(_))), "got {five_engines:?}");
     }
 

@@ -321,13 +321,12 @@ impl DsaService {
     ///
     /// # Errors
     ///
-    /// Returns [`DsaError::InvalidConfig`] with the device-configuration
-    /// constraint a plan violates (e.g. more dedicated tenants than the
-    /// 8-WQ envelope allows). A config from
-    /// [`ServiceConfig::builder`] has already passed this validation.
+    /// None today: a [`Plan`] cannot hold an invalid layout, and
+    /// [`ServiceConfig::builder`] has already checked the rest of the
+    /// configuration.
     pub fn from_config(cfg: ServiceConfig) -> Result<DsaService, DsaError> {
         let ServiceConfig { plan, seed, platform, location, slo, tenants: specs } = cfg;
-        let device = plan.device_config()?;
+        let device = plan.device().clone();
         let wqs = plan.assign(&specs);
         let mut rt = DsaRuntime::builder(platform).device(device).build();
         let mut master = SplitMix64::new(seed);
@@ -486,11 +485,6 @@ impl DsaService {
         steps
     }
 
-    /// True when no tenant has a pending action (every stream drained).
-    pub fn is_idle(&mut self) -> bool {
-        self.queue.peek().is_none()
-    }
-
     /// The instant of the earliest pending action, if any.
     pub fn next_ready(&mut self) -> Option<SimTime> {
         self.queue.peek().map(|(at, _)| at)
@@ -503,17 +497,7 @@ impl DsaService {
     /// arrival schedules march on through the stall, so a transition
     /// under pressure genuinely costs queueing — the control plane's
     /// digital twin weighs exactly that.
-    ///
-    /// # Errors
-    ///
-    /// [`DsaError::InvalidConfig`] when `to` violates the device
-    /// envelope; the service is left untouched on error.
-    pub fn transition(
-        &mut self,
-        to: Plan,
-        costs: &TransitionCosts,
-    ) -> Result<PlanTransition, DsaError> {
-        let device = to.device_config()?;
+    pub fn transition(&mut self, to: Plan, costs: &TransitionCosts) -> PlanTransition {
         let classes: Vec<QosClass> = self.tenants.iter().map(|t| t.spec.class).collect();
         let assign = to.assign_classes(&classes);
         let delta = self.plan.diff(&to);
@@ -528,9 +512,9 @@ impl DsaService {
         }
         let ready = barrier + delta.cost(costs, moved);
         if delta.is_empty() && moved == 0 {
-            return Ok(PlanTransition { barrier, ready: barrier, delta, moved });
+            return PlanTransition { barrier, ready: barrier, delta, moved };
         }
-        self.rt.replace_device(0, device);
+        self.rt.replace_device(0, to.device().clone());
         self.rt.set_now(ready);
         let hub = self.rt.hub();
         for (i, t) in self.tenants.iter_mut().enumerate() {
@@ -557,7 +541,7 @@ impl DsaService {
         }
         self.plan = to;
         self.transitions += 1;
-        Ok(PlanTransition { barrier, ready, delta, moved })
+        PlanTransition { barrier, ready, delta, moved }
     }
 
     /// Earliest instant tenant `i` could start its next job: its arrival,
@@ -1015,7 +999,7 @@ mod tests {
                 sess.submit().unwrap();
             }
         }
-        let tr = svc.transition(Plan::dedicated(2).unwrap(), &TransitionCosts::default()).unwrap();
+        let tr = svc.transition(Plan::dedicated(2).unwrap(), &TransitionCosts::default());
         assert_eq!(tr.moved, 1, "tenant 1 leaves the shared WQ");
         assert_eq!(svc.report().tenants[1].wq, 1);
         svc.run();

@@ -7,7 +7,7 @@
 //! asked "*which* segment put you on the critical path?":
 //!
 //! * [`CausalGraph`] collects the sim engine's
-//!   [`CausalEdge`](dsa_sim::engine::CausalEdge)s — every event carries a
+//!   [`CausalEdge`]s — every event carries a
 //!   trace ID (its deterministic sequence number) and a parent edge, so
 //!   any completion walks back to the external stimulus that caused it.
 //! * [`JobTrace`] attributes one completed job's end-to-end latency to
@@ -200,7 +200,7 @@ impl JobTrace {
 }
 
 /// The causal DAG of one engine run, built from
-/// [`CausalEdge`](dsa_sim::engine::CausalEdge)s delivered to the engine's
+/// [`CausalEdge`]s delivered to the engine's
 /// cause observer. Edges are keyed by child sequence number (each event
 /// is scheduled exactly once, so the "DAG" is a forest of cause trees
 /// rooted at external posts).

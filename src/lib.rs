@@ -33,9 +33,9 @@ pub use dsa_workloads as workloads;
 /// One `use dsa_repro::prelude::*;` brings in the runtime and job API
 /// ([`DsaRuntime`](dsa_core::runtime::DsaRuntime), `Job`, `Batch`,
 /// `AsyncQueue`), backend selection (`Engine`, `DispatchPolicy`,
-/// `Dispatcher`), configuration (`AccelConfig`, the [`presets`] module,
-/// `DeviceConfig`/`DeviceCaps`), the guideline advisors ([`guidelines`]),
-/// operation kinds ([`OpKind`]), the service layer (`DsaService`,
+/// `Dispatcher`), configuration (`AccelConfig`, the [`presets`](dsa_core::config::presets) module,
+/// `DeviceConfig`/`DeviceCaps`), the guideline advisors ([`guidelines`](dsa_core::guidelines)),
+/// operation kinds ([`OpKind`](dsa_ops::OpKind)), the service layer (`DsaService`,
 /// `TenantSpec`, …), the plan/SLO objects and the `dsa-ctl` control
 /// plane (`Plan`, `PlanSpec`, `SloTarget`, `Governor`), measurement
 /// helpers (`Measure`/`Mode`), and the simulated clock
