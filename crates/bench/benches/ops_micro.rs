@@ -13,7 +13,7 @@ use dsa_core::prelude::*;
 use dsa_mem::buffer::Location;
 use dsa_ops::crc32::Crc32c;
 use dsa_ops::delta::{delta_apply, delta_create};
-use dsa_ops::dif::{dif_check, dif_insert, DifBlockSize, DifConfig};
+use dsa_ops::dif::{dif_check, dif_insert, dif_insert_into, DifBlockSize, DifConfig};
 use dsa_ops::{memops, OpKind};
 
 /// Modeled per-call time in nanoseconds for `op` over `bytes` of
@@ -37,8 +37,28 @@ fn bench_crc32(rt: &DsaRuntime) {
         crc.update(a);
         crc.update(b);
         assert_eq!(crc.finish(), whole, "streaming CRC must match one-shot");
+        // Uneven pieces run both the 8-byte instruction (or table) loop and
+        // the byte tail; the bitwise definition pins the result.
+        let mut crc = Crc32c::new();
+        for piece in [&data[..1], &data[1..8], &data[8..size - 3], &data[size - 3..]] {
+            crc.update(piece);
+        }
+        assert_eq!(crc.finish(), whole, "uneven streaming CRC must match one-shot");
+        assert_eq!(whole, crc32c_bitwise(&data), "CRC32-C must match its bitwise definition");
         report("crc32c", &format!("{size}B"), size, modeled_ns(rt, OpKind::Crc32, size));
     }
+}
+
+/// CRC32-C one bit at a time (reflected poly 0x82F63B78).
+fn crc32c_bitwise(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82F6_3B78 } else { crc >> 1 };
+        }
+    }
+    !crc
 }
 
 fn bench_memops(rt: &DsaRuntime) {
@@ -62,6 +82,9 @@ fn bench_dif(rt: &DsaRuntime) {
     let cfg = DifConfig::new(DifBlockSize::B512);
     let data = vec![0x5Au8; 16 * 512];
     let protected = dif_insert(&cfg, &data).expect("whole blocks");
+    let mut into = vec![0u8; protected.len()];
+    dif_insert_into(&cfg, &data, &mut into).expect("whole blocks, exact destination");
+    assert_eq!(into, protected, "in-place DIF insert must match the allocating one");
     report("dif", "insert_8K", data.len(), modeled_ns(rt, OpKind::DifInsert, data.len()));
     dif_check(&cfg, &protected).expect("freshly protected data must verify");
     report("dif", "check_8K", data.len(), modeled_ns(rt, OpKind::DifCheck, data.len()));

@@ -23,7 +23,7 @@ use dsa_device::timing::CbdmaTiming;
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::BufferHandle;
 use dsa_ops::crc32::Crc32c;
-use dsa_ops::OpKind;
+use dsa_ops::{memops, OpKind};
 use dsa_sim::time::{transfer_time_mgbps, SimDuration, SimTime};
 
 /// Where a workload's bulk operations run — the shared replacement for the
@@ -206,18 +206,15 @@ fn cpu_run(rt: &mut DsaRuntime, req: &OffloadRequest) -> Completion {
     let (status, result) = match req.op {
         OpKind::Fill | OpKind::NtFill => {
             // `cpu_op` fills with zero; honour the requested pattern.
-            let pattern = req.pattern.to_le_bytes();
             if let Ok(b) = rt.memory_mut().read_mut(req.dst.addr(), req.dst.len()) {
-                for (i, byte) in b.iter_mut().enumerate() {
-                    *byte = pattern[i % 8];
-                }
+                memops::fill(b, req.pattern);
             }
             (Status::Success, 0)
         }
         OpKind::Compare => {
-            let a = rt.read(&req.src).unwrap_or(&[]).to_vec();
+            let a = rt.read(&req.src).unwrap_or(&[]);
             let b = rt.read(&req.dst).unwrap_or(&[]);
-            match dsa_ops::memops::compare(&a, b) {
+            match memops::compare(a, b) {
                 Some(off) => (Status::CompareMismatch, off as u64),
                 None => (Status::Success, 0),
             }
@@ -632,6 +629,29 @@ mod tests {
 
         let c = cpu.run(&mut rt, &OffloadRequest::memcmp(&src, &dst)).unwrap();
         assert_eq!(c.status, Status::CompareMismatch);
+    }
+
+    #[test]
+    fn cpu_backend_fill_and_compare_outputs_are_exact() {
+        let mut rt = DsaRuntime::spr_default();
+        let src = rt.alloc(203, Location::local_dram());
+        let dst = rt.alloc(203, Location::local_dram());
+        let mut cpu = CpuBackend;
+
+        // A non-uniform pattern over a non-multiple-of-8 length: the tail
+        // is a partial pattern starting from its first byte.
+        let pattern = 0x0807_0605_0403_0201u64;
+        let fill = OffloadRequest { pattern, ..OffloadRequest::memset(&dst, 0) };
+        cpu.run(&mut rt, &fill).unwrap();
+        let want: Vec<u8> = (0..203).map(|i| (i % 8 + 1) as u8).collect();
+        assert_eq!(rt.read(&dst).unwrap(), &want[..]);
+
+        rt.memory_mut().write(src.addr(), &want).unwrap();
+        let same = cpu.run(&mut rt, &OffloadRequest::memcmp(&src, &dst)).unwrap();
+        assert_eq!((same.status, same.result), (Status::Success, 0));
+        rt.memory_mut().write(dst.addr() + 131, &[0xFF]).unwrap();
+        let diff = cpu.run(&mut rt, &OffloadRequest::memcmp(&src, &dst)).unwrap();
+        assert_eq!((diff.status, diff.result), (Status::CompareMismatch, 131));
     }
 
     #[test]

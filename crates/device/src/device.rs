@@ -19,7 +19,7 @@ use crate::descriptor::{
 };
 use crate::timing::DsaTiming;
 use dsa_mem::buffer::Location;
-use dsa_mem::memory::Memory;
+use dsa_mem::memory::{MemError, Memory};
 use dsa_mem::memsys::{AgentId, MemSystem, WritePolicy};
 use dsa_mem::topology::Platform;
 use dsa_mem::translate::TranslationCache;
@@ -935,67 +935,88 @@ impl DsaDevice {
                 let OpParams::Delta { record_addr, max_size } = desc.params else {
                     return invalid;
                 };
-                let Ok(raw) = memory.read(record_addr, max_size as u64) else { return invalid };
-                let Ok(rec) = delta::DeltaRecord::from_bytes(raw) else { return invalid };
-                let rec = rec.clone();
-                let Ok(target) = memory.read_mut(desc.dst, len) else { return invalid };
-                match delta::delta_apply(&rec, target) {
+                let applied = match memory.split_mut(record_addr, max_size as u64, desc.dst, len) {
+                    Ok((raw, target)) => delta::delta_apply_bytes(raw, target),
+                    // Record and target share an allocation (and may
+                    // overlap): apply from a staged copy of the record.
+                    Err(MemError::SameAllocation { .. }) => {
+                        let Ok(raw) = memory.read(record_addr, max_size as u64) else {
+                            return invalid;
+                        };
+                        let raw = raw.to_vec();
+                        let Ok(target) = memory.read_mut(desc.dst, len) else { return invalid };
+                        delta::delta_apply_bytes(&raw, target)
+                    }
+                    Err(_) => return invalid,
+                };
+                match applied {
                     Ok(()) => CompletionRecord::success(desc.xfer_size),
                     Err(_) => invalid,
                 }
             }
-            Opcode::DifCheck | Opcode::DifInsert | Opcode::DifStrip | Opcode::DifUpdate => {
+            Opcode::DifCheck => {
                 let OpParams::Dif(cfg) = &desc.params else { return invalid };
                 let Ok(src) = memory.read(desc.src, len) else { return invalid };
-                let src = src.to_vec();
-                match desc.opcode {
-                    Opcode::DifInsert => match dif::dif_insert(cfg, &src) {
-                        Ok(out) => {
-                            if memory.write(desc.dst, &out).is_err() {
-                                return invalid;
-                            }
-                            CompletionRecord::success(desc.xfer_size)
+                match dif::dif_check(cfg, src) {
+                    Ok(()) => CompletionRecord::success(desc.xfer_size),
+                    Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
+                        status: Status::DifError,
+                        bytes_completed: (e.block * (cfg.block.bytes() + 8)) as u32,
+                        result: e.block as u64,
+                    },
+                    Err(_) => invalid,
+                }
+            }
+            Opcode::DifInsert | Opcode::DifStrip | Opcode::DifUpdate => {
+                let OpParams::Dif(cfg) = &desc.params else { return invalid };
+                let bs = cfg.block.bytes() as u64;
+                let out_len = match desc.opcode {
+                    Opcode::DifInsert => len / bs * (bs + 8),
+                    Opcode::DifStrip => len / (bs + 8) * bs,
+                    _ => len,
+                };
+                let kernel = |src: &[u8], dst: &mut [u8]| match desc.opcode {
+                    Opcode::DifInsert => {
+                        dif::dif_insert_into(cfg, src, dst).map_err(dif::DifCheckError::Layout)
+                    }
+                    Opcode::DifStrip => dif::dif_strip_into(cfg, src, dst),
+                    _ => dif::dif_update_into(cfg, cfg, src, dst),
+                };
+                let done = match memory.split_mut(desc.src, len, desc.dst, out_len) {
+                    Ok((src, dst)) => kernel(src, dst),
+                    // Source and destination share an allocation (and may
+                    // overlap): run the kernel into a staging buffer.
+                    Err(MemError::SameAllocation { .. }) => {
+                        let Ok(src) = memory.read(desc.src, len) else { return invalid };
+                        let mut out = vec![0; out_len as usize];
+                        let done = kernel(src, &mut out);
+                        if done.is_ok() && memory.write(desc.dst, &out).is_err() {
+                            return invalid;
                         }
-                        Err(_) => invalid,
-                    },
-                    Opcode::DifCheck => match dif::dif_check(cfg, &src) {
-                        Ok(()) => CompletionRecord::success(desc.xfer_size),
-                        Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
-                            status: Status::DifError,
-                            bytes_completed: (e.block * (cfg.block.bytes() + 8)) as u32,
-                            result: e.block as u64,
-                        },
-                        Err(_) => invalid,
-                    },
-                    Opcode::DifStrip => match dif::dif_strip(cfg, &src) {
-                        Ok(out) => {
-                            if memory.write(desc.dst, &out).is_err() {
-                                return invalid;
+                        done
+                    }
+                    // A bad source is invalid. With a bad destination a
+                    // verifying op still reports the tag it fails on.
+                    Err(_) => {
+                        let Ok(src) = memory.read(desc.src, len) else { return invalid };
+                        match dif::dif_check(cfg, src) {
+                            Err(e @ dif::DifCheckError::Dif(_))
+                                if desc.opcode != Opcode::DifInsert =>
+                            {
+                                Err(e)
                             }
-                            CompletionRecord::success(desc.xfer_size)
+                            _ => return invalid,
                         }
-                        Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
-                            status: Status::DifError,
-                            bytes_completed: 0,
-                            result: e.block as u64,
-                        },
-                        Err(_) => invalid,
+                    }
+                };
+                match done {
+                    Ok(()) => CompletionRecord::success(desc.xfer_size),
+                    Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
+                        status: Status::DifError,
+                        bytes_completed: 0,
+                        result: e.block as u64,
                     },
-                    Opcode::DifUpdate => match dif::dif_update(cfg, cfg, &src) {
-                        Ok(out) => {
-                            if memory.write(desc.dst, &out).is_err() {
-                                return invalid;
-                            }
-                            CompletionRecord::success(desc.xfer_size)
-                        }
-                        Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
-                            status: Status::DifError,
-                            bytes_completed: 0,
-                            result: e.block as u64,
-                        },
-                        Err(_) => invalid,
-                    },
-                    _ => unreachable!("outer match restricts opcodes"),
+                    Err(_) => invalid,
                 }
             }
             Opcode::CacheFlush => {
@@ -1292,6 +1313,84 @@ mod tests {
         let exec = rig.submit(&check, SimTime::ZERO).unwrap();
         assert_eq!(exec.record.status, Status::DifError);
         assert!(!exec.record.status.is_ok());
+    }
+
+    #[test]
+    fn dif_writers_match_kernels_across_and_within_allocations() {
+        let cfg = DifConfig { block: DifBlockSize::B512, app_tag: 7, starting_ref_tag: 40 };
+        let data: Vec<u8> = (0..1024u32).map(|i| (i * 37 % 251) as u8).collect();
+        let protected = dif::dif_insert(&cfg, &data).unwrap();
+        let dif = |opcode, src, dst, len: usize| Descriptor {
+            opcode,
+            flags: Flags::REQUEST_COMPLETION,
+            src,
+            dst,
+            xfer_size: len as u32,
+            completion_addr: 0,
+            params: OpParams::Dif(cfg),
+        };
+        for (opcode, input, want) in [
+            (Opcode::DifInsert, &data, &protected),
+            (Opcode::DifStrip, &protected, &data),
+            (Opcode::DifUpdate, &protected, &protected),
+        ] {
+            let n = input.len();
+            // Separate allocations: written in place through a split borrow.
+            let mut rig = Rig::new(DeviceConfig::single_engine());
+            let src = rig.alloc(n as u64, Location::local_dram());
+            let dst = rig.alloc(want.len() as u64, Location::local_dram());
+            rig.memory.write(src, input).unwrap();
+            let rec = rig.submit(&dif(opcode, src, dst, n), SimTime::ZERO).unwrap().record;
+            assert_eq!(rec.status, Status::Success, "{opcode:?}");
+            assert_eq!(rig.memory.read(dst, want.len() as u64).unwrap(), &want[..]);
+
+            // One allocation with overlapping ranges: staged.
+            let buf = rig.alloc((n.max(want.len()) + 8) as u64, Location::local_dram());
+            rig.memory.write(buf, input).unwrap();
+            let rec = rig.submit(&dif(opcode, buf, buf + 8, n), SimTime::ZERO).unwrap().record;
+            assert_eq!(rec.status, Status::Success, "{opcode:?} overlapping");
+            assert_eq!(rig.memory.read(buf + 8, want.len() as u64).unwrap(), &want[..]);
+
+            // An unmapped destination is invalid, but a verifying op still
+            // reports a corrupt block first.
+            let rec = rig.submit(&dif(opcode, src, 0xDEAD_0000, n), SimTime::ZERO).unwrap().record;
+            assert_eq!(rec.status, Status::InvalidDescriptor, "{opcode:?} bad dst");
+            rig.memory.read_mut(src + 600, 1).unwrap()[0] ^= 1;
+            let rec = rig.submit(&dif(opcode, src, 0xDEAD_0000, n), SimTime::ZERO).unwrap().record;
+            if opcode == Opcode::DifInsert {
+                assert_eq!(rec.status, Status::InvalidDescriptor);
+            } else {
+                assert_eq!((rec.status, rec.result), (Status::DifError, 1), "{opcode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn delta_apply_within_one_allocation_is_staged() {
+        let mut rig = Rig::new(DeviceConfig::single_engine());
+        let buf = rig.alloc(512, Location::local_dram());
+        let entry = delta::DeltaEntry { offset: 3, data: [0xAB; 8] };
+        rig.memory.write(buf + 256, &entry.to_bytes()).unwrap();
+        let apply = Descriptor {
+            opcode: Opcode::ApplyDelta,
+            flags: Flags::REQUEST_COMPLETION,
+            src: 0,
+            dst: buf,
+            xfer_size: 256,
+            completion_addr: 0,
+            params: OpParams::Delta { record_addr: buf + 256, max_size: 10 },
+        };
+        assert_eq!(rig.submit(&apply, SimTime::ZERO).unwrap().record.status, Status::Success);
+        assert_eq!(rig.memory.read(buf + 24, 8).unwrap(), &[0xAB; 8]);
+        // A record that is not whole entries is invalid and writes nothing.
+        let bad =
+            Descriptor { params: OpParams::Delta { record_addr: buf + 256, max_size: 9 }, ..apply };
+        let before = rig.memory.read(buf, 256).unwrap().to_vec();
+        assert_eq!(
+            rig.submit(&bad, SimTime::ZERO).unwrap().record.status,
+            Status::InvalidDescriptor
+        );
+        assert_eq!(rig.memory.read(buf, 256).unwrap(), &before[..]);
     }
 
     #[test]

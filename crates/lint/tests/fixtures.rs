@@ -75,12 +75,14 @@ fn bad_r4_raw_descriptor_literals_are_flagged() {
 
 #[test]
 fn bad_r5_hot_alloc_is_flagged_in_hot_modules_only() {
-    let v = lint_fixture("bad", "r5_hotalloc.rs", "crates/sim/src/sched.rs");
-    assert_eq!(
-        rules_of(&v),
-        vec!["hot-alloc", "hot-alloc", "hot-alloc", "hot-alloc", "hot-alloc"],
-        "{v:?}"
-    );
+    for hot in ["crates/sim/src/sched.rs", "crates/ops/src/dif.rs"] {
+        let v = lint_fixture("bad", "r5_hotalloc.rs", hot);
+        assert_eq!(
+            rules_of(&v),
+            vec!["hot-alloc", "hot-alloc", "hot-alloc", "hot-alloc", "hot-alloc"],
+            "{hot}: {v:?}"
+        );
+    }
 
     // The same code outside the designated hot-path modules is legal:
     // allocation policy is per-module, not per-crate.
@@ -94,8 +96,12 @@ fn bad_r5_hot_alloc_is_flagged_in_hot_modules_only() {
 
 #[test]
 fn good_r5_pooled_shapes_pass_inside_the_hot_scope() {
-    for hot in ["crates/sim/src/store.rs", "crates/core/src/program.rs", "crates/ops/src/memops.rs"]
-    {
+    for hot in [
+        "crates/sim/src/store.rs",
+        "crates/core/src/program.rs",
+        "crates/ops/src/memops.rs",
+        "crates/ops/src/dif.rs",
+    ] {
         let v = lint_fixture("good", "r5_pooled.rs", hot);
         assert!(v.is_empty(), "{hot}: {v:?}");
     }

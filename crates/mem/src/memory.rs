@@ -76,6 +76,11 @@ pub enum MemError {
         /// Start of the offending range.
         addr: u64,
     },
+    /// A split borrow asked for two ranges in one allocation.
+    SameAllocation {
+        /// Start of the destination range.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -84,6 +89,9 @@ impl fmt::Display for MemError {
             MemError::Unmapped { addr } => write!(f, "unmapped address {addr:#x}"),
             MemError::CrossesSegments { addr } => {
                 write!(f, "range at {addr:#x} crosses allocation boundaries")
+            }
+            MemError::SameAllocation { addr } => {
+                write!(f, "range at {addr:#x} shares an allocation with the source")
             }
         }
     }
@@ -181,19 +189,54 @@ impl Memory {
         Ok(&mut seg.data[off..off + len as usize])
     }
 
-    /// Copies `len` bytes from `src` to `dst` (may be in different
-    /// allocations; overlapping ranges copy through a staging buffer, i.e.
-    /// `memmove` semantics).
+    /// A shared view of `src_len` bytes at `src` beside a mutable view of
+    /// `dst_len` bytes at `dst`, for kernels that read one buffer while
+    /// writing another without staging either.
+    ///
+    /// # Errors
+    ///
+    /// Fails if either range is unmapped or spans allocations (the source
+    /// is checked first), or with [`MemError::SameAllocation`] if both
+    /// ranges lie in one allocation.
+    pub fn split_mut(
+        &mut self,
+        src: u64,
+        src_len: u64,
+        dst: u64,
+        dst_len: u64,
+    ) -> Result<(&[u8], &mut [u8]), MemError> {
+        let (sbase, _) = self.segment_of(src, src_len)?;
+        let (dbase, _) = self.segment_of(dst, dst_len)?;
+        if sbase == dbase {
+            return Err(MemError::SameAllocation { addr: dst });
+        }
+        // The two segments are the ends of the key range spanning both.
+        let mut span = self.segments.range_mut(sbase.min(dbase)..=sbase.max(dbase));
+        let (_, first) = span.next().ok_or(MemError::Unmapped { addr: src })?;
+        let (_, last) = span.next_back().ok_or(MemError::Unmapped { addr: dst })?;
+        let (s, d) = if sbase < dbase { (first, last) } else { (last, first) };
+        let (soff, doff) = ((src - sbase) as usize, (dst - dbase) as usize);
+        Ok((&s.data[soff..soff + src_len as usize], &mut d.data[doff..doff + dst_len as usize]))
+    }
+
+    /// Copies `len` bytes from `src` to `dst` with `memmove` semantics:
+    /// the ranges may be in different allocations, or overlap within one.
     ///
     /// # Errors
     ///
     /// Fails if either range is invalid.
     pub fn copy(&mut self, src: u64, dst: u64, len: u64) -> Result<(), MemError> {
-        // Validate both before copying.
-        self.segment_of(src, len)?;
-        self.segment_of(dst, len)?;
-        let tmp = self.read(src, len)?.to_vec();
-        self.write(dst, &tmp)
+        match self.split_mut(src, len, dst, len) {
+            Ok((s, d)) => d.copy_from_slice(s),
+            Err(MemError::SameAllocation { .. }) => {
+                let (base, _) = self.segment_of(src, len)?;
+                let seg = self.segments.get_mut(&base).ok_or(MemError::Unmapped { addr: src })?;
+                let so = (src - base) as usize;
+                seg.data.copy_within(so..so + len as usize, (dst - base) as usize);
+            }
+            Err(e) => return Err(e),
+        }
+        Ok(())
     }
 
     /// The declared location of the allocation containing `addr`.

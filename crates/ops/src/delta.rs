@@ -59,26 +59,6 @@ impl DeltaRecord {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
-
-    /// Reconstructs a record from its serialized form.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `bytes` is not a multiple of the entry size.
-    pub fn from_bytes(bytes: &[u8]) -> Result<DeltaRecord, DeltaError> {
-        if !bytes.len().is_multiple_of(DeltaEntry::SIZE) {
-            return Err(DeltaError::MalformedRecord { len: bytes.len() });
-        }
-        Ok(DeltaRecord { bytes: bytes.to_vec() })
-    }
-
-    /// Iterates over decoded entries.
-    pub fn iter(&self) -> impl Iterator<Item = DeltaEntry> + '_ {
-        self.bytes
-            .chunks_exact(DeltaEntry::SIZE)
-            // dsa-lint: allow(unwrap, chunks_exact yields exactly SIZE-byte slices)
-            .map(|c| DeltaEntry::from_bytes(c.try_into().expect("10 bytes")))
-    }
 }
 
 /// Failures of delta operations.
@@ -192,9 +172,24 @@ pub fn delta_create(
 ///
 /// Fails without touching `target` if any entry is out of range.
 pub fn delta_apply(record: &DeltaRecord, target: &mut [u8]) -> Result<(), DeltaError> {
+    delta_apply_bytes(&record.bytes, target)
+}
+
+/// [`delta_apply`] straight from a record's serialized bytes, as the device
+/// reads it from memory.
+///
+/// # Errors
+///
+/// Fails without touching `target` if `record` is not a whole number of
+/// entries or any entry is out of range.
+pub fn delta_apply_bytes(record: &[u8], target: &mut [u8]) -> Result<(), DeltaError> {
+    if !record.len().is_multiple_of(DeltaEntry::SIZE) {
+        return Err(DeltaError::MalformedRecord { len: record.len() });
+    }
+    let (entries, _) = record.as_chunks::<{ DeltaEntry::SIZE }>();
     // Validate first: hardware reports the error without partial effects
     // visible to the completion record consumer.
-    for e in record.iter() {
+    for e in entries.iter().map(DeltaEntry::from_bytes) {
         let start = e.offset as usize * 8;
         if start + 8 > target.len() {
             return Err(DeltaError::OffsetOutOfRange {
@@ -203,7 +198,7 @@ pub fn delta_apply(record: &DeltaRecord, target: &mut [u8]) -> Result<(), DeltaE
             });
         }
     }
-    for e in record.iter() {
+    for e in entries.iter().map(DeltaEntry::from_bytes) {
         let start = e.offset as usize * 8;
         target[start..start + 8].copy_from_slice(&e.data);
     }
@@ -265,7 +260,7 @@ mod tests {
         b[last] = 1;
         let rec = delta_create(&a, &b, 1024).unwrap();
         assert_eq!(rec.entries(), 1);
-        assert_eq!(rec.iter().next().unwrap().offset, u16::MAX);
+        assert_eq!(rec.as_bytes()[..2], u16::MAX.to_le_bytes());
         let mut patched = a.clone();
         delta_apply(&rec, &mut patched).unwrap();
         assert_eq!(patched, b);
@@ -274,23 +269,30 @@ mod tests {
     #[test]
     fn apply_out_of_range_leaves_target_untouched() {
         let entry = DeltaEntry { offset: 100, data: [9; 8] };
-        let rec = DeltaRecord::from_bytes(&entry.to_bytes()).unwrap();
         let mut target = vec![0u8; 64];
         let before = target.clone();
-        assert!(matches!(delta_apply(&rec, &mut target), Err(DeltaError::OffsetOutOfRange { .. })));
+        assert!(matches!(
+            delta_apply_bytes(&entry.to_bytes(), &mut target),
+            Err(DeltaError::OffsetOutOfRange { .. })
+        ));
         assert_eq!(target, before);
     }
 
     #[test]
-    fn record_serialization_roundtrip() {
+    fn serialized_record_applies_and_malformed_is_rejected() {
         let original = vec![0u8; 64];
         let mut modified = original.clone();
         modified[0] = 1;
         modified[63] = 2;
         let rec = delta_create(&original, &modified, 4096).unwrap();
-        let rec2 = DeltaRecord::from_bytes(rec.as_bytes()).unwrap();
-        assert_eq!(rec, rec2);
-        assert!(DeltaRecord::from_bytes(&[0u8; 7]).is_err());
+        let mut patched = original.clone();
+        delta_apply_bytes(rec.as_bytes(), &mut patched).unwrap();
+        assert_eq!(patched, modified);
+        assert_eq!(
+            delta_apply_bytes(&[0u8; 7], &mut patched),
+            Err(DeltaError::MalformedRecord { len: 7 })
+        );
+        assert_eq!(patched, modified);
     }
 
     #[test]

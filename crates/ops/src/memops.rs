@@ -49,7 +49,17 @@ pub fn fill(dst: &mut [u8], pattern: u64) {
 /// Panics if lengths differ.
 pub fn compare(a: &[u8], b: &[u8]) -> Option<usize> {
     assert_eq!(a.len(), b.len(), "compare length mismatch");
-    a.iter().zip(b).position(|(x, y)| x != y)
+    let (ca, ra) = a.as_chunks::<CHUNK>();
+    let (cb, rb) = b.as_chunks::<CHUNK>();
+    // Whole 64-byte chunks compare as arrays; only a mismatching chunk is
+    // searched for its first differing byte.
+    for (i, (x, y)) in ca.iter().zip(cb).enumerate() {
+        if x != y {
+            return Some(i * CHUNK + first_diff(x, y));
+        }
+    }
+    let tail = ca.len() * CHUNK;
+    ra.iter().zip(rb).position(|(x, y)| x != y).map(|p| tail + p)
 }
 
 /// Compares `buf` against a repeating 8-byte pattern (Compare Pattern);
@@ -57,7 +67,35 @@ pub fn compare(a: &[u8], b: &[u8]) -> Option<usize> {
 /// throughout.
 pub fn compare_pattern(buf: &[u8], pattern: u64) -> Option<usize> {
     let bytes = pattern.to_le_bytes();
-    buf.iter().enumerate().position(|(i, &b)| b != bytes[i % 8])
+    // Chunks start at multiples of 8, so every chunk sees the pattern in
+    // the same phase.
+    let mut expect = [0u8; CHUNK];
+    fill(&mut expect, pattern);
+    let (chunks, rest) = buf.as_chunks::<CHUNK>();
+    for (i, c) in chunks.iter().enumerate() {
+        if *c != expect {
+            return Some(i * CHUNK + first_diff(c, &expect));
+        }
+    }
+    let tail = chunks.len() * CHUNK;
+    rest.iter().enumerate().position(|(i, &b)| b != bytes[i % 8]).map(|p| tail + p)
+}
+
+/// Width of the block [`compare`] and [`compare_pattern`] test at once.
+const CHUNK: usize = 64;
+
+/// Offset of the first differing byte of two chunks known to differ.
+fn first_diff(x: &[u8; CHUNK], y: &[u8; CHUNK]) -> usize {
+    let (wx, _) = x.as_chunks::<8>();
+    let (wy, _) = y.as_chunks::<8>();
+    for (w, (p, q)) in wx.iter().zip(wy).enumerate() {
+        let d = u64::from_le_bytes(*p) ^ u64::from_le_bytes(*q);
+        if d != 0 {
+            // Little-endian: the lowest set byte is the earliest in memory.
+            return w * 8 + (d.trailing_zeros() / 8) as usize;
+        }
+    }
+    CHUNK
 }
 
 #[cfg(test)]
